@@ -35,13 +35,10 @@ struct EdgeRegularPow2Topo {
   NodeId target(std::int32_t p) const noexcept {
     return adj[static_cast<std::size_t>(p)];
   }
-  double pi_of(std::int32_t p, NodeId) const noexcept {
-    (void)p;
-    return pi;
-  }
+  double pi_of(NodeId) const noexcept { return pi; }
 };
 
-/// General graph, natural order: arc source/target arrays + per-node pi.
+/// General graph: arc source/target arrays + per-node pi.
 struct EdgeGeneralTopo {
   static constexpr bool kUniformPi = false;
   const NodeId* adj;
@@ -62,40 +59,8 @@ struct EdgeGeneralTopo {
   NodeId target(std::int32_t p) const noexcept {
     return adj[static_cast<std::size_t>(p)];
   }
-  double pi_of(std::int32_t p, NodeId u) const noexcept {
-    (void)p;
+  double pi_of(NodeId u) const noexcept {
     return pi[static_cast<std::size_t>(u)];
-  }
-};
-
-/// Degree-sorted mirror: slot arrays come from the layout's translated
-/// arc arrays (original arc order preserved); pi still keys on the
-/// ORIGINAL source node, read from the graph's own arc array.
-struct EdgeReorderTopo {
-  static constexpr bool kUniformPi = false;
-  const NodeId* adj_internal;
-  const NodeId* src_internal;
-  const NodeId* src_original;
-  const double* pi;
-  void resolve(const std::int32_t* pos, std::int32_t* uslot,
-               std::int32_t* vslot, double* pis, int count) const noexcept {
-    burst::translate_indices(adj_internal, pos, vslot, count);
-    burst::translate_indices(src_internal, pos, uslot, count);
-    for (int i = 0; i < count; ++i) {
-      pis[i] = pi[static_cast<std::size_t>(
-          src_original[static_cast<std::size_t>(pos[i])])];
-    }
-  }
-  double uniform_pi() const noexcept { return 0.0; }  // unused
-  NodeId source(std::int32_t p) const noexcept {
-    return src_internal[static_cast<std::size_t>(p)];
-  }
-  NodeId target(std::int32_t p) const noexcept {
-    return adj_internal[static_cast<std::size_t>(p)];
-  }
-  double pi_of(std::int32_t p, NodeId) const noexcept {
-    return pi[static_cast<std::size_t>(
-        src_original[static_cast<std::size_t>(p)])];
   }
 };
 
@@ -112,15 +77,15 @@ struct EdgeReorderTopo {
 /// kernel.  Track is compile-time for the same reason as there: the
 /// per-step extrema check otherwise survives in every non-tracking hot
 /// loop.
-template <bool Track, class Topo, class Sync>
+template <bool Track, class Topo>
 void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
-                    OpinionState& state, double* vals, std::uint64_t arcs,
-                    const Topo& topo, Sync&& sync) {
+                    OpinionState& state, std::uint64_t arcs,
+                    const Topo& topo) {
   const double one_minus_a = 1.0 - a;
+  double* const vals = state.mutable_values();
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.uniform_pi();
   const auto recompute_now = [&] {
-    sync();  // mirror kernels make values_ current first
     state.recompute();
     cursor = state.begin_burst();
   };
@@ -133,7 +98,7 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     // apply_update computes (0.0 + value(v)) / 1.0; the division by
     // one is exact, the leading add is kept for the -0.0 case.
     const double x = a * old + one_minus_a * (0.0 + nv);
-    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.pi_of(p, us),
+    cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.pi_of(us),
                          old, x);
     vals[static_cast<std::size_t>(us)] = x;
   };
@@ -242,17 +207,14 @@ void run_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <class Topo, class Sync>
+template <class Topo>
 void dispatch_edge_burst(Rng& rng, std::int64_t n_steps, bool lazy,
-                         double a, OpinionState& state, double* vals,
-                         std::uint64_t arcs, const Topo& topo,
-                         Sync&& sync) {
+                         double a, OpinionState& state, std::uint64_t arcs,
+                         const Topo& topo) {
   if (state.tracks_extrema()) {
-    run_edge_burst<true>(rng, n_steps, lazy, a, state, vals, arcs, topo,
-                         sync);
+    run_edge_burst<true>(rng, n_steps, lazy, a, state, arcs, topo);
   } else {
-    run_edge_burst<false>(rng, n_steps, lazy, a, state, vals, arcs, topo,
-                          sync);
+    run_edge_burst<false>(rng, n_steps, lazy, a, state, arcs, topo);
   }
 }
 
@@ -264,14 +226,6 @@ EdgeModel::EdgeModel(const Graph& graph, std::vector<double> initial,
                        params.track_extrema),
       params_(params) {
   OPINDYN_EXPECTS(graph.edge_count() >= 1, "EdgeModel needs >= 1 edge");
-  if (params.reorder) {
-    layout_ = GraphLayout::degree_sorted(graph);
-    if (layout_->is_identity()) {
-      layout_.reset();
-    } else {
-      mirror_.resize(static_cast<std::size_t>(graph.node_count()));
-    }
-  }
 }
 
 NodeSelection EdgeModel::step_recorded(Rng& rng) {
@@ -297,31 +251,19 @@ void EdgeModel::step_burst(Rng& rng, std::int64_t n_steps) {
   }
   OpinionState& state = mutable_state();
   const auto arcs = static_cast<std::uint64_t>(g.arc_count());
-  const auto size = static_cast<std::size_t>(g.node_count());
   const NodeId d = g.min_degree();
-  if (layout_) {
-    layout_->scatter(state.values(), mirror_);
-    EdgeReorderTopo topo{layout_->adjacency_internal().data(),
-                         layout_->arc_source_internal().data(),
-                         g.arc_source_data(), state.stationary_data()};
-    auto sync = [this, &state, size] {
-      layout_->gather(mirror_, {state.mutable_values(), size});
-    };
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        mirror_.data(), arcs, topo, sync);
-    layout_->gather(mirror_, {state.mutable_values(), size});
-  } else if (g.is_regular() && std::has_single_bit(static_cast<unsigned>(d))) {
+  if (g.is_regular() && std::has_single_bit(static_cast<unsigned>(d))) {
     EdgeRegularPow2Topo topo{
         g.adjacency_data(),
         std::countr_zero(static_cast<unsigned>(d)),
         g.stationary(0)};
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo, [] {});
+    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state, arcs,
+                        topo);
   } else {
     EdgeGeneralTopo topo{g.adjacency_data(), g.arc_source_data(),
                          state.stationary_data()};
-    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state,
-                        state.mutable_values(), arcs, topo, [] {});
+    dispatch_edge_burst(rng, n_steps, params_.lazy, alpha(), state, arcs,
+                        topo);
   }
   advance_time(n_steps);
 }

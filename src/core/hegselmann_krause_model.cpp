@@ -24,17 +24,16 @@ namespace {
 /// bulk -- the O(deg) confidant scan dominates the decrement anyway.
 template <bool Track, class Topo>
 void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
-                  double confidence, OpinionState& state, double* vals,
-                  NodeId n, const Topo& topo) {
-  const auto nn = static_cast<std::uint64_t>(n);
+                  double confidence, OpinionState& state, const Topo& topo) {
+  const auto nn = static_cast<std::uint64_t>(state.node_count());
+  double* const vals = state.mutable_values();
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.stationary(0);
   const NodeId* adj = topo.adjacency();
   const auto apply_node = [&](NodeId u) {
     const std::int64_t base = topo.row_base(u);
     const std::int32_t d = topo.degree(u);
-    const std::int32_t slot = topo.slot(u);
-    const double xu = vals[static_cast<std::size_t>(slot)];
+    const double xu = vals[static_cast<std::size_t>(u)];
     double sum = xu;
     std::int32_t confidants = 0;
     for (std::int32_t i = 0; i < d; ++i) {
@@ -51,7 +50,7 @@ void run_hk_burst(Rng& rng, std::int64_t n_steps, bool lazy,
     const double x = sum / (1.0 + static_cast<double>(confidants));
     cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          xu, x);
-    vals[static_cast<std::size_t>(slot)] = x;
+    vals[static_cast<std::size_t>(u)] = x;
     if (cursor.advance_one()) {
       state.recompute();
       cursor = state.begin_burst();
@@ -133,26 +132,25 @@ void HegselmannKrauseModel::step_burst(Rng& rng, std::int64_t n_steps) {
   OPINDYN_EXPECTS(n_steps >= 0, "n_steps must be >= 0");
   const Graph& g = graph();
   OpinionState& state = mutable_state();
-  const NodeId n = g.node_count();
   if (g.is_regular()) {
     NodeRegularTopo topo{g.adjacency_data(), g.min_degree(),
                          g.stationary(0)};
     if (state.tracks_extrema()) {
       run_hk_burst<true>(rng, n_steps, params_.lazy, params_.confidence,
-                         state, state.mutable_values(), n, topo);
+                         state, topo);
     } else {
       run_hk_burst<false>(rng, n_steps, params_.lazy, params_.confidence,
-                          state, state.mutable_values(), n, topo);
+                          state, topo);
     }
   } else {
     NodeIrregularTopo topo{g.offsets_data(), g.adjacency_data(),
                            state.stationary_data()};
     if (state.tracks_extrema()) {
       run_hk_burst<true>(rng, n_steps, params_.lazy, params_.confidence,
-                         state, state.mutable_values(), n, topo);
+                         state, topo);
     } else {
       run_hk_burst<false>(rng, n_steps, params_.lazy, params_.confidence,
-                          state, state.mutable_values(), n, topo);
+                          state, topo);
     }
   }
   advance_time(n_steps);

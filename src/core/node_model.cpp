@@ -22,7 +22,7 @@ namespace {
 ///
 ///  - Portable builds run a fused loop, software-pipelined in groups
 ///    of 8 steps: the group's draws (two serial rng calls per step at
-///    K = 1) resolve to neighbour/target slots first, then the FP
+///    K = 1) resolve to neighbour/target nodes first, then the FP
 ///    applies walk the group in step order reading values live.  The
 ///    rng state chain is the long pole, so hoisting it ahead of the
 ///    accumulator chains is worth ~1.4x over a straight per-step loop.
@@ -36,17 +36,16 @@ namespace {
 /// cannot reach the recompute threshold settles its bookkeeping with
 /// one advance(), and only chunks straddling the threshold (or lazy
 /// runs, whose update count is coin-dependent) check per update.
-template <int K, SamplingMode Mode, bool Track, class Topo, class Sync>
+template <int K, SamplingMode Mode, bool Track, class Topo>
 void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
-                    OpinionState& state, double* vals, NodeId n,
-                    const Topo& topo, Sync&& sync) {
+                    OpinionState& state, const Topo& topo) {
   const double one_minus_a = 1.0 - a;
   const double k_count = static_cast<double>(K);
-  const auto nn = static_cast<std::uint64_t>(n);
+  const auto nn = static_cast<std::uint64_t>(state.node_count());
+  double* const vals = state.mutable_values();
   auto cursor = state.begin_burst();
   const double uniform_pi = topo.stationary(0);
   const auto recompute_now = [&] {
-    sync();  // mirror kernels make values_ current first
     state.recompute();
     cursor = state.begin_burst();
   };
@@ -87,12 +86,11 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     }
     // sum / 1.0 is bit-exactly sum, so k = 1 skips the division.
     const double mean = K == 1 ? sum : sum / k_count;
-    const std::int32_t slot = topo.slot(u);
-    const double old = vals[static_cast<std::size_t>(slot)];
+    const double old = vals[static_cast<std::size_t>(u)];
     const double x = a * old + one_minus_a * mean;
     cursor.update<Track>(Topo::kUniformPi ? uniform_pi : topo.stationary(u),
                          old, x);
-    vals[static_cast<std::size_t>(slot)] = x;
+    vals[static_cast<std::size_t>(u)] = x;
   };
   std::int64_t done = 0;
   while (done < n_steps) {
@@ -111,7 +109,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
       constexpr int kGroup = 8;
       std::int64_t c = 0;
       for (; c + kGroup <= chunk; c += kGroup) {
-        std::int32_t uslot[kGroup];
+        NodeId us[kGroup];
         std::int32_t nbr[kGroup * K];
         double pis[kGroup];
         for (int s = 0; s < kGroup; ++s) {
@@ -141,7 +139,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                   adj[static_cast<std::size_t>(base + idx)]);
             }
           }
-          uslot[s] = topo.slot(u);
+          us[s] = u;
           if constexpr (!Topo::kUniformPi) {
             pis[s] = topo.stationary(u);
           }
@@ -152,11 +150,11 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
             sum += vals[static_cast<std::size_t>(nbr[s * K + i])];
           }
           const double mean = K == 1 ? sum : sum / k_count;
-          const double old = vals[static_cast<std::size_t>(uslot[s])];
+          const double old = vals[static_cast<std::size_t>(us[s])];
           const double x = a * old + one_minus_a * mean;
           cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[s], old,
                                x);
-          vals[static_cast<std::size_t>(uslot[s])] = x;
+          vals[static_cast<std::size_t>(us[s])] = x;
         }
       }
       for (; c < chunk; ++c) {
@@ -180,7 +178,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
     done += chunk;
   }
 #else
-  std::int32_t slots[burst::kChunkSteps];
+  NodeId us[burst::kChunkSteps];
   double pis[burst::kChunkSteps];
   std::int32_t pos[burst::kChunkSteps * K];
   std::int32_t nbr[burst::kChunkSteps * K];
@@ -221,7 +219,7 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
                          static_cast<std::uint64_t>(d))));
         }
       }
-      slots[emitted] = topo.slot(u);
+      us[emitted] = u;
       if constexpr (!Topo::kUniformPi) {
         pis[emitted] = topo.stationary(u);
       }
@@ -245,11 +243,11 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
       }
       // sum / 1.0 is bit-exactly sum, so k = 1 skips the division.
       const double mean = K == 1 ? sum : sum / k_count;
-      const std::int32_t slot = slots[e];
-      const double old = vals[static_cast<std::size_t>(slot)];
+      const NodeId u = us[e];
+      const double old = vals[static_cast<std::size_t>(u)];
       const double x = a * old + one_minus_a * mean;
       cursor.update<Track>(Topo::kUniformPi ? uniform_pi : pis[e], old, x);
-      vals[static_cast<std::size_t>(slot)] = x;
+      vals[static_cast<std::size_t>(u)] = x;
     };
     if (cursor.countdown() > emitted) [[likely]] {
       for (int e = 0; e < emitted; ++e) {
@@ -272,53 +270,46 @@ void run_node_burst(Rng& rng, std::int64_t n_steps, bool lazy, double a,
   state.end_burst(cursor);
 }
 
-template <SamplingMode Mode, bool Track, class Topo, class Sync>
+template <SamplingMode Mode, bool Track, class Topo>
 bool dispatch_k(std::int64_t k, Rng& rng, std::int64_t n_steps, bool lazy,
-                double a, OpinionState& state, double* vals, NodeId n,
-                const Topo& topo, Sync&& sync) {
+                double a, OpinionState& state, const Topo& topo) {
   switch (k) {
     case 1:
-      run_node_burst<1, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+      run_node_burst<1, Mode, Track>(rng, n_steps, lazy, a, state, topo);
       return true;
     case 2:
-      run_node_burst<2, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+      run_node_burst<2, Mode, Track>(rng, n_steps, lazy, a, state, topo);
       return true;
     case 3:
-      run_node_burst<3, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+      run_node_burst<3, Mode, Track>(rng, n_steps, lazy, a, state, topo);
       return true;
     case 4:
-      run_node_burst<4, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+      run_node_burst<4, Mode, Track>(rng, n_steps, lazy, a, state, topo);
       return true;
     case 8:
-      run_node_burst<8, Mode, Track>(rng, n_steps, lazy, a, state, vals, n,
-                                     topo, sync);
+      run_node_burst<8, Mode, Track>(rng, n_steps, lazy, a, state, topo);
       return true;
     default:
       return false;  // uncommon k: the generic loop handles it
   }
 }
 
-template <class Topo, class Sync>
+template <class Topo>
 bool dispatch_mode_k(SamplingMode mode, std::int64_t k, Rng& rng,
                      std::int64_t n_steps, bool lazy, double a,
-                     OpinionState& state, double* vals, NodeId n,
-                     const Topo& topo, Sync&& sync) {
+                     OpinionState& state, const Topo& topo) {
   if (mode == SamplingMode::without_replacement) {
     return state.tracks_extrema()
                ? dispatch_k<SamplingMode::without_replacement, true>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo, sync)
+                     k, rng, n_steps, lazy, a, state, topo)
                : dispatch_k<SamplingMode::without_replacement, false>(
-                     k, rng, n_steps, lazy, a, state, vals, n, topo, sync);
+                     k, rng, n_steps, lazy, a, state, topo);
   }
   return state.tracks_extrema()
              ? dispatch_k<SamplingMode::with_replacement, true>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo, sync)
+                   k, rng, n_steps, lazy, a, state, topo)
              : dispatch_k<SamplingMode::with_replacement, false>(
-                   k, rng, n_steps, lazy, a, state, vals, n, topo, sync);
+                   k, rng, n_steps, lazy, a, state, topo);
 }
 
 bool has_specialised_k(std::int64_t k) noexcept {
@@ -340,14 +331,6 @@ NodeModel::NodeModel(const Graph& graph, std::vector<double> initial,
   }
   scratch_.reserve(static_cast<std::size_t>(params.k));
   sample_scratch_.resize(static_cast<std::size_t>(params.k));
-  if (params.reorder) {
-    layout_ = GraphLayout::degree_sorted(graph);
-    if (layout_->is_identity()) {
-      layout_.reset();  // nothing to gain; keep the plain kernels
-    } else {
-      mirror_.resize(static_cast<std::size_t>(graph.node_count()));
-    }
-  }
 }
 
 NodeId NodeModel::draw_selection(Rng& rng) {
@@ -394,30 +377,16 @@ void NodeModel::step_burst(Rng& rng, std::int64_t n_steps) {
     return;
   }
   OpinionState& state = mutable_state();
-  const NodeId n = g.node_count();
-  const auto size = static_cast<std::size_t>(n);
-  if (layout_) {
-    layout_->scatter(state.values(), mirror_);
-    NodeReorderTopo topo{g.offsets_data(),
-                         layout_->adjacency_internal().data(),
-                         layout_->to_internal().data(),
-                         state.stationary_data()};
-    auto sync = [this, &state, size] {
-      layout_->gather(mirror_, {state.mutable_values(), size});
-    };
-    dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, mirror_.data(), n, topo, sync);
-    layout_->gather(mirror_, {state.mutable_values(), size});
-  } else if (g.is_regular()) {
+  if (g.is_regular()) {
     NodeRegularTopo topo{g.adjacency_data(), g.min_degree(),
                          g.stationary(0)};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, state.mutable_values(), n, topo, [] {});
+                    alpha(), state, topo);
   } else {
     NodeIrregularTopo topo{g.offsets_data(), g.adjacency_data(),
                            state.stationary_data()};
     dispatch_mode_k(params_.sampling, params_.k, rng, n_steps, params_.lazy,
-                    alpha(), state, state.mutable_values(), n, topo, [] {});
+                    alpha(), state, topo);
   }
   advance_time(n_steps);
 }

@@ -175,8 +175,8 @@ class CellScheduler {
                                        std::uint64_t seed,
                                        std::size_t metrics, ReplicaBatch::Body body);
 
-  /// Synchronous convenience (the historical ReplicaScheduler::run):
-  /// submit + wait + fold for bodies without row streaming.
+  /// Synchronous convenience: submit + wait + fold for bodies without
+  /// row streaming.
   std::vector<RunningStats> run(
       std::int64_t replicas, std::uint64_t seed, std::size_t metrics,
       const std::function<void(std::int64_t, Rng&, std::span<double>)>& body);
@@ -216,10 +216,6 @@ class CellScheduler {
   std::shared_ptr<std::atomic<std::int64_t>> max_inflight_ =
       std::make_shared<std::atomic<std::int64_t>>(0);
 };
-
-/// Historical name: the scheduler used to shard only replicas within one
-/// cell.  Call sites that never submit whole cells can keep the old name.
-using ReplicaScheduler = CellScheduler;
 
 }  // namespace opindyn
 

@@ -194,9 +194,19 @@ class Parser {
 
   Value parse_value() {
     const char c = peek();
+    if (c == '{' || c == '[') {
+      // Each container level recurses once more: cap the depth so
+      // untrusted input cannot exhaust the native stack.
+      if (depth_ == kMaxDepth) {
+        fail_here("nesting deeper than " + std::to_string(kMaxDepth) +
+                  " levels");
+      }
+      ++depth_;
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -365,6 +375,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers currently open
 };
 
 }  // namespace

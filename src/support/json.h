@@ -88,9 +88,12 @@ class Value {
   Object object_;
 };
 
+/// Deepest container nesting parse() accepts.
+inline constexpr int kMaxDepth = 128;
+
 /// Parses one complete JSON document.  Throws std::runtime_error with a
 /// byte-offset diagnostic on malformed input (including trailing
-/// garbage after the document).
+/// garbage after the document and nesting deeper than kMaxDepth).
 Value parse(const std::string& text);
 
 /// Parses the JSON document in the named file.  Throws with the path in

@@ -170,25 +170,33 @@ TEST(ServeSession, EmitsReadyJobRecordsAndShutdownSummary) {
 TEST(ServeSession, FaultIsolationMalformedAndThrowingJobs) {
   const std::string csv_path =
       ::testing::TempDir() + "serve_session_isolated.csv";
+  // 50,000 nested '[' in the first field: a parse error, not a stack
+  // overflow.
+  const std::string deep_json =
+      "{\"scenario\":" + std::string(50000, '[') + "\n";
   const std::string input =
       "this is not a job\n"                       // tokens without '='
       "scenario=no_such_scenario n=16\n"          // throws at run time
       "{\"scenario\":\"node\",\"n\":[1,2]}\n"     // non-scalar JSON value
+      + deep_json +
       "scenario=node graph=cycle n=32 replicas=2 csv=" + csv_path + "\n";
   const auto records = serve_records(input, service::ServeOptions{});
 
-  for (const std::int64_t bad : {1, 2, 3}) {
+  for (const std::int64_t bad : {1, 2, 3, 4}) {
     const json::Value* record = find_job_record(records, bad);
     ASSERT_NE(record, nullptr) << "job " << bad;
     EXPECT_EQ(record->find("status")->as_string(), "error");
     EXPECT_FALSE(record->find("error")->as_string().empty());
   }
-  // The server survived all three failures and ran the good job.
-  const json::Value* good = find_job_record(records, 4);
+  EXPECT_NE(find_job_record(records, 4)->find("error")->as_string().find(
+                "nesting deeper than"),
+            std::string::npos);
+  // The server survived all four failures and ran the good job.
+  const json::Value* good = find_job_record(records, 5);
   ASSERT_NE(good, nullptr);
   EXPECT_EQ(good->find("status")->as_string(), "ok");
   const json::Value& summary = records.back();
-  EXPECT_EQ(summary.find("errors")->as_int(), 3);
+  EXPECT_EQ(summary.find("errors")->as_int(), 4);
   EXPECT_EQ(summary.find("ok")->as_int(), 1);
 }
 

@@ -109,8 +109,8 @@ TEST(CellScheduler, UnitExceptionsSurfaceOnWait) {
 
 TEST(CellScheduler, SynchronousRunMatchesHistoricalReplicaScheduler) {
   // The sync convenience used by standalone benches and tests is just
-  // submit + fold; the historical alias still compiles.
-  ReplicaScheduler scheduler(3);
+  // submit + fold.
+  CellScheduler scheduler(3);
   const std::vector<RunningStats> stats = scheduler.run(
       20, 7, 1, [](std::int64_t, Rng& rng, std::span<double> out) {
         out[0] = rng.next_double();

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
 
 #include "src/support/json.h"
 
@@ -114,6 +115,29 @@ TEST(Json, MalformedInputThrowsWithOffset) {
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("at byte"),
               std::string::npos);
+  }
+  // Nesting is capped: kMaxDepth levels parse, one more is an ordinary
+  // parse error citing the offending bracket rather than a stack
+  // overflow.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  const Value outermost = parse(nested(kMaxDepth));
+  const Value* level = &outermost;
+  for (int depth = 1; depth < kMaxDepth; ++depth) {
+    ASSERT_EQ(level->as_array().size(), 1u) << depth;
+    level = &level->as_array()[0];
+  }
+  EXPECT_TRUE(level->as_array().empty());
+  try {
+    parse(nested(kMaxDepth + 1));
+    FAIL() << "expected a nesting-depth error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(
+                  "at byte " + std::to_string(kMaxDepth)),
+              std::string::npos)
+        << error.what();
   }
 }
 
