@@ -153,6 +153,94 @@ TEST(StepBurst, NodeModelIrregularGraphMatchesSingleSteps) {
   }
 }
 
+// The edge kernel on a heavy-tailed graph: hub endpoints are drawn far
+// more often than leaves, and tracked extrema must follow the same
+// in-place updates as single steps.
+TEST(StepBurst, EdgeModelIrregularGraphMatchesSingleSteps) {
+  Rng graph_rng(29);
+  const Graph g = gen::preferential_attachment(graph_rng, 48, 2);
+  ASSERT_FALSE(g.is_regular());
+  Rng init_rng(17);
+  const auto xi = initial::uniform(init_rng, g.node_count(), -1.0, 1.0);
+  constexpr std::int64_t kTotal = 700;
+  for (const bool lazy : {false, true}) {
+    for (const bool track : {false, true}) {
+      EdgeModelParams params;
+      params.alpha = 0.55;
+      params.lazy = lazy;
+      params.track_extrema = track;
+      EdgeModel single(g, xi, params);
+      EdgeModel burst(g, xi, params);
+      Rng rng_single(89);
+      Rng rng_burst(89);
+      for (std::int64_t i = 0; i < kTotal; ++i) {
+        single.step(rng_single);
+      }
+      run_in_bursts(burst, rng_burst, kTotal);
+      SCOPED_TRACE("lazy=" + std::to_string(lazy) +
+                   " track=" + std::to_string(track));
+      expect_bit_identical(single, burst);
+      EXPECT_EQ(single.state().discrepancy(), burst.state().discrepancy());
+      EXPECT_EQ(rng_single(), rng_burst());
+    }
+  }
+}
+
+// Bursts update the state's value array in place, so single steps and
+// bursts can alternate freely: each sees exactly what the other wrote.
+TEST(StepBurst, InterleavedStepsAndBurstsMatchSingleSteps) {
+  Rng graph_rng(31);
+  const Graph g = gen::preferential_attachment(graph_rng, 48, 2);
+  ASSERT_FALSE(g.is_regular());
+  Rng init_rng(19);
+  const auto xi = initial::gaussian(init_rng, g.node_count(), 0.0, 1.0);
+  const auto interleave = [](AveragingProcess& process, Rng& rng) {
+    for (const std::int64_t burst : {std::int64_t{5}, std::int64_t{1},
+                                     std::int64_t{64}, std::int64_t{0},
+                                     std::int64_t{203}}) {
+      process.step(rng);
+      process.step_burst(rng, burst);
+      process.step(rng);
+    }
+  };
+  constexpr std::int64_t kTotal = 5 * 2 + 5 + 1 + 64 + 0 + 203;
+  {
+    NodeModelParams params;
+    params.alpha = 0.4;
+    params.k = 2;
+    params.track_extrema = true;
+    NodeModel single(g, xi, params);
+    NodeModel mixed(g, xi, params);
+    Rng rng_single(88);
+    Rng rng_mixed(88);
+    for (std::int64_t i = 0; i < kTotal; ++i) {
+      single.step(rng_single);
+    }
+    interleave(mixed, rng_mixed);
+    SCOPED_TRACE("node model");
+    expect_bit_identical(single, mixed);
+    EXPECT_EQ(single.state().discrepancy(), mixed.state().discrepancy());
+    EXPECT_EQ(rng_single(), rng_mixed());
+  }
+  {
+    EdgeModelParams params;
+    params.alpha = 0.55;
+    params.track_extrema = true;
+    EdgeModel single(g, xi, params);
+    EdgeModel mixed(g, xi, params);
+    Rng rng_single(89);
+    Rng rng_mixed(89);
+    for (std::int64_t i = 0; i < kTotal; ++i) {
+      single.step(rng_single);
+    }
+    interleave(mixed, rng_mixed);
+    SCOPED_TRACE("edge model");
+    expect_bit_identical(single, mixed);
+    EXPECT_EQ(single.state().discrepancy(), mixed.state().discrepancy());
+    EXPECT_EQ(rng_single(), rng_mixed());
+  }
+}
+
 // k outside the specialised set {1, 2, 3, 4, 8} routes to the generic
 // per-step loop, which must honour the same stream contract.
 TEST(StepBurst, GenericKFallbackMatchesSingleSteps) {

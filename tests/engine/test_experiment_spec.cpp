@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/engine/experiment_spec.h"
 #include "src/engine/runner.h"
@@ -123,6 +125,32 @@ TEST(ExperimentSpec, ParsesCliFlags) {
   EXPECT_EQ(spec.csv_path, "rows.csv");
   ASSERT_EQ(spec.sweeps.size(), 1u);
   EXPECT_EQ(spec.sweeps[0].values, (std::vector<std::string>{"1", "2"}));
+}
+
+// reorder= is no longer a knob: a spec file that still sets it fails
+// on that line, the CLI no longer accepts it, and serialised specs omit
+// it.
+TEST(ExperimentSpec, RetiredReorderKeyIsAnUnknownKeyEverywhere) {
+  const std::string path =
+      ::testing::TempDir() + "opindyn_spec_retired_reorder.spec";
+  {
+    std::ofstream out(path);
+    out << "scenario=node\nn=16\nreorder=false\n";
+  }
+  try {
+    parse_spec_file(path);
+    FAIL() << "expected reorder= to be rejected";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path + ":3: "), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown spec key 'reorder'"), std::string::npos)
+        << what;
+  }
+  std::remove(path.c_str());
+  const std::vector<std::string> keys = spec_keys();
+  EXPECT_EQ(std::find(keys.begin(), keys.end(), "reorder"), keys.end());
+  EXPECT_EQ(to_key_values(ExperimentSpec{}).find("reorder"),
+            std::string::npos);
 }
 
 TEST(ExperimentSpec, RejectsUnknownKeysAndMalformedValues) {

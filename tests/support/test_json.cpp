@@ -116,14 +116,17 @@ TEST(Json, MalformedInputThrowsWithOffset) {
     EXPECT_NE(std::string(error.what()).find("at byte"),
               std::string::npos);
   }
-  // Nesting is capped: kMaxDepth levels parse, one more is an ordinary
-  // parse error citing the offending bracket rather than a stack
-  // overflow.
-  const auto nested = [](int depth) {
-    return std::string(static_cast<std::size_t>(depth), '[') +
-           std::string(static_cast<std::size_t>(depth), ']');
-  };
-  const Value outermost = parse(nested(kMaxDepth));
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+// Nesting is capped: kMaxDepth levels parse, one more is an ordinary
+// parse error citing the offending bracket rather than a stack overflow.
+TEST(Json, NestingDepthIsCappedAtMaxDepth) {
+  const Value outermost = parse(nested_arrays(kMaxDepth));
   const Value* level = &outermost;
   for (int depth = 1; depth < kMaxDepth; ++depth) {
     ASSERT_EQ(level->as_array().size(), 1u) << depth;
@@ -131,11 +134,57 @@ TEST(Json, MalformedInputThrowsWithOffset) {
   }
   EXPECT_TRUE(level->as_array().empty());
   try {
-    parse(nested(kMaxDepth + 1));
+    parse(nested_arrays(kMaxDepth + 1));
     FAIL() << "expected a nesting-depth error";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(
                   "at byte " + std::to_string(kMaxDepth)),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// The cap bounds the containers open at once, not how many a document
+// holds, and objects count the same as arrays.
+TEST(Json, NestingDepthCountsOpenContainersOfEitherKind) {
+  // Two siblings each reach kMaxDepth: the counter must fall back as
+  // every container closes, or the second sibling would be rejected.
+  const std::string inner = nested_arrays(kMaxDepth - 1);
+  const Value siblings = parse("[" + inner + "," + inner + "]");
+  EXPECT_EQ(siblings.as_array().size(), 2u);
+
+  // Alternating {"a": [ ... ] } levels.
+  const auto mixed = [](int depth) {
+    std::string open;
+    std::string close;
+    for (int level = 0; level < depth; ++level) {
+      if (level % 2 == 0) {
+        open += "{\"a\":";
+        close.insert(0, "}");
+      } else {
+        open += "[";
+        close.insert(0, "]");
+      }
+    }
+    return open + "0" + close;
+  };
+  const Value deepest = parse(mixed(kMaxDepth));
+  const Value* level = &deepest;
+  for (int depth = 0; depth < kMaxDepth; ++depth) {
+    if (depth % 2 == 0) {
+      ASSERT_NE(level->find("a"), nullptr) << depth;
+      level = level->find("a");
+    } else {
+      ASSERT_EQ(level->as_array().size(), 1u) << depth;
+      level = &level->as_array()[0];
+    }
+  }
+  EXPECT_EQ(level->as_int(), 0);
+  try {
+    parse(mixed(kMaxDepth + 1));
+    FAIL() << "expected a nesting-depth error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"),
               std::string::npos)
         << error.what();
   }
