@@ -246,13 +246,11 @@ std::vector<double> build_initial(const InitialSpec& spec,
     // the memoised record (when given) and the direct solve produce the
     // identical deterministic eigenvector.
     xi = initial::scaled_eigenvector(
-        spectra != nullptr ? spectra->walk().f2
-                           : lazy_walk_spectrum(graph).f2,
+        spectra != nullptr ? spectra->walk_f2() : lazy_walk_f2(graph),
         spec.param_a == 0.0 ? static_cast<double>(n) : spec.param_a);
   } else if (spec.distribution == "f2_laplacian") {
     xi = initial::scaled_eigenvector(
-        spectra != nullptr ? spectra->laplacian().f2
-                           : laplacian_spectrum(graph).f2,
+        spectra != nullptr ? spectra->laplacian_f2() : laplacian_f2(graph),
         spec.param_a == 0.0 ? static_cast<double>(n) : spec.param_a);
   } else {
     fail("unknown initial distribution '" + spec.distribution +

@@ -70,10 +70,11 @@ struct InitialSpec {
 
 /// Draws xi(0) per the spec (and applies the requested centering).
 /// Throws std::runtime_error for unknown distributions or centerings.
-/// The f2_walk / f2_laplacian eigenvector states take their eigensolve
+/// The f2_walk / f2_laplacian eigenvector states take their eigenvector
 /// from `spectra` when one is passed (the engine passes the batch-wide
 /// SpectrumCache record, so a sweep solves once per distinct graph);
-/// with nullptr they solve directly -- same values either way.
+/// with nullptr they call lazy_walk_f2 / laplacian_f2 directly -- same
+/// values either way.
 std::vector<double> build_initial(const InitialSpec& spec,
                                   const Graph& graph,
                                   const GraphSpectra* spectra = nullptr);

@@ -265,12 +265,11 @@ BatchResult run_experiment(const ExperimentSpec& spec,
                     return build_graph(item->graph);
                   });
               const auto spectra = spectrum_cache.get(cache_key, graph);
+              // The records open their own `eigensolve` spans.
               if (item->initial.distribution == "f2_walk") {
-                const ScopedSpan span(metrics, cache_key, "eigensolve");
-                spectra->walk();
+                spectra->walk_f2(metrics);
               } else if (item->initial.distribution == "f2_laplacian") {
-                const ScopedSpan span(metrics, cache_key, "eigensolve");
-                spectra->laplacian();
+                spectra->laplacian_f2(metrics);
               }
             }));
       }

@@ -39,21 +39,25 @@ struct RunInput {
   const ExperimentSpec& spec;
   const Graph& graph;
   const std::vector<double>& initial;
-  /// Memoised eigensolves of `graph`, shared across every cell of the
-  /// sweep that resolves to the same graph (see SpectrumCache): call
-  /// spectra.walk() / spectra.laplacian() instead of running
-  /// lazy_walk_spectrum / laplacian_spectrum directly, and the whole
-  /// batch performs one eigensolve per distinct graph and kind.
+  /// Memoised spectral solves of `graph`, shared across every cell of
+  /// the sweep that resolves to the same graph (see SpectrumCache): call
+  /// spectra.walk(metrics) / spectra.laplacian(metrics) for lambda_2
+  /// (sparse Lanczos) and spectra.walk_f2(metrics) /
+  /// spectra.laplacian_f2(metrics) for an eigenvector (dense Jacobi)
+  /// instead of running the solvers directly, and the whole batch
+  /// performs one solve per distinct graph and kind, each recorded as an
+  /// `eigensolve` span in `metrics`.
   const GraphSpectra& spectra;
   CellScheduler& scheduler;
   /// True iff a consumer wants the per-replica row channel; streaming
   /// scenarios skip emitting/formatting replica rows when false, so a
   /// plain aggregate run never pays the O(replicas x rows) memory.
   bool stream_rows = false;
-  /// Observability sink for the batch, or nullptr when disabled.  Most
-  /// scenarios never touch it: the scheduler already records unit spans
-  /// and attributes metrics::count bumps to the cell, so this is only
-  /// for scenarios that want extra spans or main-thread timings.
+  /// Observability sink for the batch, or nullptr when disabled.  The
+  /// scheduler already records unit spans and attributes metrics::count
+  /// bumps to the cell; scenarios pass it to the `spectra` accessors so
+  /// solves get their spans, and may use it for extra spans or
+  /// main-thread timings.
   MetricsRegistry* metrics = nullptr;
 };
 

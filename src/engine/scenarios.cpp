@@ -188,7 +188,7 @@ class NodeVsEdgeScenario final : public Scenario {
 OPINDYN_REGISTER_SCENARIO(NodeVsEdgeScenario)
 
 /// Submits the spectral Prop. B.1 prediction of a NodeModel cell as a
-/// one-replica batch, so the O(n^3) eigensolve runs on the pool
+/// one-replica batch, so the sparse lambda_2 solve runs on the pool
 /// alongside the replicas instead of serialising the cells.
 /// Metrics: [0] = 1 - lambda2(P), [1] = predicted T, [2] = theorem scale.
 std::shared_ptr<ReplicaBatch> submit_node_prediction(
@@ -196,7 +196,7 @@ std::shared_ptr<ReplicaBatch> submit_node_prediction(
   return in.scheduler.submit(
       1, subseed(in.spec.seed, 0x9d), 3,
       [in, config](std::int64_t, Rng&, std::span<double> out, RowEmitter&) {
-        const WalkSpectrum& spectrum = in.spectra.walk();
+        const WalkSpectrum& spectrum = in.spectra.walk(in.metrics);
         OpinionState probe(in.graph, in.initial);
         out[0] = spectrum.gap;
         out[1] = theory::steps_to_epsilon(

@@ -448,7 +448,7 @@ class Thm24EdgeConvergenceScenario final : public Scenario {
         1, subseed(in.spec.seed, 0x24), 3,
         [in, config, convergence](std::int64_t, Rng&,
                                   std::span<double> out, RowEmitter&) {
-          const LaplacianSpectrum& lap = in.spectra.laplacian();
+          const LaplacianSpectrum& lap = in.spectra.laplacian(in.metrics);
           OpinionState probe(in.graph, in.initial);
           const double rho = theory::edge_model_rho(
               lap.lambda2, config.alpha, in.graph.edge_count(),
@@ -648,7 +648,7 @@ class PropB1DropScenario final : public Scenario {
                 " (the enumeration needs k distinct neighbours "
                 "everywhere)");
           }
-          const WalkSpectrum& spectrum = in.spectra.walk();
+          const WalkSpectrum& spectrum = in.spectra.walk(in.metrics);
           // Non-lazy normalisation: the exact one-step enumeration below
           // has no laziness coin, so the bound drops the /2 as well.
           const double rho = theory::node_model_rho(
@@ -660,7 +660,8 @@ class PropB1DropScenario final : public Scenario {
               rng, g.node_count(), 0.0, 1.0);
           initial::center_degree_weighted(g, random_state);
           const std::pair<std::size_t, const std::vector<double>*>
-              states[] = {{0, &spectrum.f2}, {4, &random_state}};
+              states[] = {{0, &in.spectra.walk_f2(in.metrics)},
+                         {4, &random_state}};
           for (const auto& [base, xi] : states) {
             OpinionState probe(g, *xi);
             const double phi0 = probe.phi_exact();
@@ -726,7 +727,7 @@ class PropB2NodeScenario final : public Scenario {
         1, subseed(in.spec.seed, 0xB2), 3,
         [in, config](std::int64_t, Rng&, std::span<double> out,
                      RowEmitter&) {
-          const WalkSpectrum& spectrum = in.spectra.walk();
+          const WalkSpectrum& spectrum = in.spectra.walk(in.metrics);
           const double n = static_cast<double>(in.graph.node_count());
           const double eps = in.spec.convergence.epsilon;
           OpinionState probe(in.graph, in.initial);
@@ -786,7 +787,7 @@ class PropB2EdgeScenario final : public Scenario {
         1, subseed(in.spec.seed, 0xB3), 2,
         [in, config, convergence](std::int64_t, Rng&,
                                   std::span<double> out, RowEmitter&) {
-          const LaplacianSpectrum& lap = in.spectra.laplacian();
+          const LaplacianSpectrum& lap = in.spectra.laplacian(in.metrics);
           const double n = static_cast<double>(in.graph.node_count());
           out[0] = lap.lambda2;
           out[1] = static_cast<double>(in.graph.edge_count()) *

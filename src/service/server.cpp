@@ -112,18 +112,44 @@ std::map<std::string, std::string> parse_job_line(
   return kv;
 }
 
-/// Blocking line source for serve_stream (tests, pipes).
+/// Blocking line source for serve_stream (tests, pipes).  Lines longer
+/// than kMaxLineBytes come back as `too_long`, their bytes past the
+/// limit consumed but never stored.
 class StreamLineSource {
  public:
   explicit StreamLineSource(std::istream& in) : in_(in) {}
 
-  enum class Status { line, eof, tick };
+  enum class Status { line, too_long, eof, tick };
 
   Status next(std::string* line) {
-    if (std::getline(in_, *line)) {
-      return Status::line;
+    line->clear();
+    std::streambuf* const buffer = in_.rdbuf();
+    bool read_any = false;
+    bool too_long = false;
+    for (;;) {
+      const int c = buffer->sbumpc();
+      if (c == std::char_traits<char>::eof()) {
+        in_.setstate(std::ios::eofbit);
+        if (!read_any) {
+          return Status::eof;
+        }
+        break;  // final unterminated line
+      }
+      read_any = true;
+      if (c == '\n') {
+        break;
+      }
+      if (line->size() < kMaxLineBytes) {
+        line->push_back(static_cast<char>(c));
+      } else {
+        too_long = true;
+      }
     }
-    return Status::eof;
+    if (too_long) {
+      line->clear();
+      return Status::too_long;
+    }
+    return Status::line;
   }
 
  private:
@@ -132,7 +158,9 @@ class StreamLineSource {
 
 /// poll()-driven line source over a file descriptor: returns `tick`
 /// every ~100 ms of idleness so the session loop can notice a signal
-/// between lines instead of blocking in read().
+/// between lines instead of blocking in read().  The buffer never holds
+/// more than kMaxLineBytes plus one read: past that, the line is
+/// dropped and the rest of it discarded up to its newline.
 class FdLineSource {
  public:
   explicit FdLineSource(int fd) : fd_(fd) {}
@@ -141,17 +169,34 @@ class FdLineSource {
 
   Status next(std::string* line) {
     for (;;) {
-      const std::size_t newline = buffer_.find('\n');
+      // Only bytes appended since the last search can hold the newline.
+      const std::size_t newline = buffer_.find('\n', scanned_);
       if (newline != std::string::npos) {
-        line->assign(buffer_, 0, newline);
+        const bool too_long = discarding_ || newline > kMaxLineBytes;
+        if (!too_long) {
+          line->assign(buffer_, 0, newline);
+        }
         buffer_.erase(0, newline + 1);
-        return Status::line;
+        scanned_ = 0;
+        discarding_ = false;
+        return too_long ? Status::too_long : Status::line;
+      }
+      scanned_ = buffer_.size();
+      if (buffer_.size() > kMaxLineBytes) {
+        buffer_.clear();
+        scanned_ = 0;
+        discarding_ = true;
       }
       if (saw_eof_) {
+        if (discarding_) {
+          discarding_ = false;
+          return Status::too_long;
+        }
         if (!buffer_.empty()) {
           // Final unterminated line.
           line->assign(buffer_);
           buffer_.clear();
+          scanned_ = 0;
           return Status::line;
         }
         return Status::eof;
@@ -190,6 +235,10 @@ class FdLineSource {
  private:
   int fd_;
   std::string buffer_;
+  /// Prefix of buffer_ already searched for a newline.
+  std::size_t scanned_ = 0;
+  /// Inside an over-long line whose stored bytes were dropped.
+  bool discarding_ = false;
   bool saw_eof_ = false;
 };
 
@@ -410,6 +459,23 @@ struct JobStreamService::Impl {
 
   // ---- admission --------------------------------------------------
 
+  /// One `error` record for a line that never became a job.
+  void reject_line(std::int64_t id, const std::string& message) {
+    json::Object record{
+        {"job", id}, {"status", "error"}, {"error", message}};
+    {
+      const std::lock_guard<std::mutex> lock(state_mutex);
+      ++errors;
+    }
+    emit(json::Value(std::move(record)));
+  }
+
+  void reject_too_long_line() {
+    reject_line(++next_job_id, "job line exceeds the " +
+                                   std::to_string(kMaxLineBytes) +
+                                   "-byte limit");
+  }
+
   void admit_line(const std::string& raw) {
     const std::string line = trimmed(raw);
     if (line.empty() || line[0] == '#') {
@@ -433,16 +499,7 @@ struct JobStreamService::Impl {
             "scheduler); use the one-shot CLI for traced runs");
       }
     } catch (const std::exception& error) {
-      json::Object record;
-      record.reserve(4);
-      record.emplace_back("job", id);
-      record.emplace_back("status", "error");
-      record.emplace_back("error", error.what());
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex);
-        ++errors;
-      }
-      emit(json::Value(std::move(record)));
+      reject_line(id, error.what());
       return;
     }
     // A job line never prints a table: stdout carries records only.
@@ -681,6 +738,10 @@ struct JobStreamService::Impl {
       }
       if (status == StreamLineSource::Status::eof) {
         return;
+      }
+      if (status == StreamLineSource::Status::too_long) {
+        reject_too_long_line();
+        continue;
       }
       admit_line(line);
     }

@@ -15,8 +15,9 @@
 //                      and a final {"event":"shutdown",...} summary.
 //
 // Design invariants the tests pin down:
-//   * fault isolation -- a malformed or throwing job yields exactly one
-//     `error` record; the server and every other in-flight job proceed.
+//   * fault isolation -- a malformed, throwing or over-long
+//     (kMaxLineBytes) job line yields exactly one `error` record; the
+//     server and every other in-flight job proceed.
 //   * determinism -- an `ok` job's output files are byte-identical to
 //     the one-shot CLI at any thread count (shared scheduler included).
 //   * bounded admission -- a full queue answers `rejected` immediately
@@ -52,6 +53,12 @@ namespace service {
 /// (signed-overflow UB) and silently disable itself.
 inline constexpr std::int64_t kMaxDeadlineMs =
     std::int64_t{86'400'000} * 365 * 100;
+
+/// Longest job line accepted, in bytes (newline excluded).  A longer
+/// line gets one `error` record citing this limit; its remainder is read
+/// and discarded without being buffered, so one huge line cannot
+/// exhaust memory, and the next line is served normally.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 struct ServeOptions {
   /// Admission queue depth; a push beyond it is rejected with a record,

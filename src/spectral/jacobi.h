@@ -1,7 +1,8 @@
 // Cyclic Jacobi eigenvalue algorithm for dense symmetric matrices.
 // Quadratically convergent, unconditionally stable, and accurate to near
-// machine precision -- the reference solver for every spectral quantity in
-// the experiments.
+// machine precision, but O(n^3): it computes the f_2 eigenvectors of the
+// f2_* initial states and is the oracle the sparse lambda_2 solve is
+// tested against.
 #ifndef OPINDYN_SPECTRAL_JACOBI_H
 #define OPINDYN_SPECTRAL_JACOBI_H
 

@@ -1,8 +1,7 @@
-// Dense row-major matrix of doubles.  Experiment graphs are at most a few
-// thousand nodes (the Q-chain needs n^2 states, so n stays small), making a
-// robust dense representation the right trade-off for reproducibility:
-// Jacobi gives every eigenvalue to ~1e-13 instead of an iterative solver's
-// tolerance games.
+// Dense row-major matrix of doubles, for the small exact machinery: the
+// Q-chain (n^2 states, so n stays small), the f_2 eigenvectors and the
+// Jacobi test oracle.  lambda_2 of large graphs never builds one; it comes
+// from the sparse Lanczos solve in lanczos.h.
 #ifndef OPINDYN_SPECTRAL_MATRIX_H
 #define OPINDYN_SPECTRAL_MATRIX_H
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/spectral/jacobi.h"
 #include "src/spectral/lanczos.h"
 #include "src/support/assert.h"
 
@@ -50,9 +51,44 @@ WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
   const auto n = static_cast<std::size_t>(graph.node_count());
   OPINDYN_EXPECTS(graph.min_degree() >= 1,
                   "walk spectrum needs min degree >= 1");
+  if (n < 2) {
+    return {1.0, 0.0};
+  }
+  // S = D^{1/2} P D^{-1/2}: (S x)_u = x_u / 2 + sum_{v ~ u} x_v /
+  // (2 sqrt(d_u d_v)).  Its top eigenvector sqrt(pi) is deflated, so the
+  // largest surviving Ritz value is lambda_2.
+  std::vector<double> inv_sqrt_degree(n);
+  std::vector<double> sqrt_pi(n);
+  for (NodeId u = 0; u < graph.node_count(); ++u) {
+    const auto i = static_cast<std::size_t>(u);
+    inv_sqrt_degree[i] =
+        1.0 / std::sqrt(static_cast<double>(graph.degree(u)));
+    sqrt_pi[i] = std::sqrt(graph.stationary(u));
+  }
+  const SymmetricOperator apply_s = [&](const std::vector<double>& x,
+                                        std::vector<double>& y) {
+    for (NodeId u = 0; u < graph.node_count(); ++u) {
+      const auto i = static_cast<std::size_t>(u);
+      double sum = 0.0;
+      for (const NodeId v : graph.neighbors(u)) {
+        const auto j = static_cast<std::size_t>(v);
+        sum += inv_sqrt_degree[j] * x[j];
+      }
+      y[i] = 0.5 * (x[i] + inv_sqrt_degree[i] * sum);
+    }
+  };
+  const double lambda2 =
+      lanczos_extreme_eigenvalue(apply_s, sqrt_pi, Extreme::largest).value;
+  return {lambda2, 1.0 - lambda2};
+}
+
+std::vector<double> lazy_walk_f2(const Graph& graph) {
+  const auto n = static_cast<std::size_t>(graph.node_count());
+  OPINDYN_EXPECTS(graph.min_degree() >= 1,
+                  "walk spectrum needs min degree >= 1");
   // Symmetrize: S = D^{1/2} P D^{-1/2}; s_ij = 1/(2 sqrt(d_i d_j)) on
-  // edges, 1/2 on the diagonal.  S and P share eigenvalues; if g is an
-  // eigenvector of S then f = D^{-1/2} g is a (right) eigenvector of P.
+  // edges, 1/2 on the diagonal.  If g is an eigenvector of S then
+  // f = D^{-1/2} g is a (right) eigenvector of P.
   Matrix s(n, n, 0.0);
   for (NodeId u = 0; u < graph.node_count(); ++u) {
     s.at(static_cast<std::size_t>(u), static_cast<std::size_t>(u)) = 0.5;
@@ -63,12 +99,7 @@ WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
     }
   }
   const EigenDecomposition eig = jacobi_eigen(s);
-
-  WalkSpectrum result;
-  result.values = eig.values;
-  OPINDYN_ENSURES(result.values.size() == n, "spectrum size mismatch");
-  result.lambda2 = n >= 2 ? result.values[n - 2] : 1.0;
-  result.gap = 1.0 - result.lambda2;
+  OPINDYN_ENSURES(eig.values.size() == n, "spectrum size mismatch");
 
   // Map g -> f = D^{-1/2} g and normalise under <.,.>_pi so that the
   // lower-bound experiments can use ||f_2||_pi = 1 directly.
@@ -87,43 +118,34 @@ WalkSpectrum lazy_walk_spectrum(const Graph& graph) {
       scale(f2, 1.0 / std::sqrt(pi_norm2));
     }
   }
-  result.f2 = std::move(f2);
-  return result;
+  return f2;
 }
 
 LaplacianSpectrum laplacian_spectrum(const Graph& graph) {
-  const EigenDecomposition eig = jacobi_eigen(laplacian_matrix(graph));
-  LaplacianSpectrum result;
-  result.values = eig.values;
-  const std::size_t n = result.values.size();
-  result.lambda2 = n >= 2 ? result.values[1] : 0.0;
-  result.f2 = n >= 2 ? eig.vectors[1] : std::vector<double>{};
-  return result;
-}
-
-double laplacian_lambda2_lanczos(const Graph& graph, std::size_t steps,
-                                 std::uint64_t seed) {
   const auto n = static_cast<std::size_t>(graph.node_count());
-  OPINDYN_EXPECTS(n >= 2, "lambda2 needs n >= 2");
+  if (n < 2) {
+    return {0.0};
+  }
+  // (L x)_u = d_u x_u - sum_{v ~ u} x_v.  The kernel (all-ones) is
+  // deflated, so the smallest surviving Ritz value is lambda_2.
   const SymmetricOperator apply_l = [&graph](const std::vector<double>& x,
                                              std::vector<double>& y) {
-    y.assign(x.size(), 0.0);
     for (NodeId u = 0; u < graph.node_count(); ++u) {
-      double sum = static_cast<double>(graph.degree(u)) *
-                   x[static_cast<std::size_t>(u)];
+      const auto i = static_cast<std::size_t>(u);
+      double sum = static_cast<double>(graph.degree(u)) * x[i];
       for (const NodeId v : graph.neighbors(u)) {
         sum -= x[static_cast<std::size_t>(v)];
       }
-      y[static_cast<std::size_t>(u)] = sum;
+      y[i] = sum;
     }
   };
-  // Deflate the kernel (all-ones) so the smallest surviving Ritz value
-  // approximates lambda_2.
-  std::vector<double> ones(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  Rng rng(seed);
-  const LanczosResult result = lanczos(apply_l, n, steps, rng, {ones});
-  OPINDYN_ENSURES(!result.ritz_values.empty(), "lanczos produced no values");
-  return result.ritz_values.front();
+  const std::vector<double> ones(n, 1.0 / std::sqrt(static_cast<double>(n)));
+  return {lanczos_extreme_eigenvalue(apply_l, ones, Extreme::smallest).value};
+}
+
+std::vector<double> laplacian_f2(const Graph& graph) {
+  const EigenDecomposition eig = jacobi_eigen(laplacian_matrix(graph));
+  return eig.values.size() >= 2 ? eig.vectors[1] : std::vector<double>{};
 }
 
 }  // namespace opindyn

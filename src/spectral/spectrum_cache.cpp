@@ -11,39 +11,58 @@ GraphSpectra::GraphSpectra(std::shared_ptr<const Graph> graph)
   OPINDYN_EXPECTS(graph_ != nullptr, "GraphSpectra needs a graph");
 }
 
-const WalkSpectrum& GraphSpectra::walk() const {
-  bool solved = false;
-  std::call_once(walk_once_, [&] {
-    walk_ = std::make_unique<const WalkSpectrum>(lazy_walk_spectrum(*graph_));
-    solves_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(
-        (walk_->values.size() + walk_->f2.size()) * sizeof(double) +
-            sizeof(WalkSpectrum),
-        std::memory_order_relaxed);
-    solved = true;
-  });
-  if (!solved) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return *walk_;
+namespace {
+
+/// Bytes a memoised result adds to its record.
+std::uint64_t result_bytes(const WalkSpectrum& spectrum) {
+  return sizeof(spectrum);
 }
 
-const LaplacianSpectrum& GraphSpectra::laplacian() const {
+std::uint64_t result_bytes(const LaplacianSpectrum& spectrum) {
+  return sizeof(spectrum);
+}
+
+std::uint64_t result_bytes(const std::vector<double>& vector) {
+  return sizeof(vector) + vector.size() * sizeof(double);
+}
+
+}  // namespace
+
+template <typename T, typename Solve>
+const T& GraphSpectra::memoise(Slot<T>& slot, MetricsRegistry* metrics,
+                               const char* kind, Solve solve) const {
   bool solved = false;
-  std::call_once(laplacian_once_, [&] {
-    laplacian_ = std::make_unique<const LaplacianSpectrum>(
-        laplacian_spectrum(*graph_));
+  std::call_once(slot.once, [&] {
+    const ScopedSpan span(metrics, kind, "eigensolve");
+    slot.value = std::make_unique<const T>(solve(*graph_));
     solves_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(
-        (laplacian_->values.size() + laplacian_->f2.size()) * sizeof(double) +
-            sizeof(LaplacianSpectrum),
-        std::memory_order_relaxed);
+    bytes_.fetch_add(result_bytes(*slot.value), std::memory_order_relaxed);
     solved = true;
   });
   if (!solved) {
     hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  return *laplacian_;
+  return *slot.value;
+}
+
+const WalkSpectrum& GraphSpectra::walk(MetricsRegistry* metrics) const {
+  return memoise(walk_, metrics, "walk", lazy_walk_spectrum);
+}
+
+const LaplacianSpectrum& GraphSpectra::laplacian(
+    MetricsRegistry* metrics) const {
+  return memoise(laplacian_, metrics, "laplacian", laplacian_spectrum);
+}
+
+const std::vector<double>& GraphSpectra::walk_f2(
+    MetricsRegistry* metrics) const {
+  return memoise(walk_f2_, metrics, "walk_f2", lazy_walk_f2);
+}
+
+const std::vector<double>& GraphSpectra::laplacian_f2(
+    MetricsRegistry* metrics) const {
+  return memoise(laplacian_f2_, metrics, "laplacian_f2",
+                 opindyn::laplacian_f2);
 }
 
 std::int64_t GraphSpectra::solves() const noexcept {

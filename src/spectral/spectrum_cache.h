@@ -1,17 +1,18 @@
-// Memoised per-graph eigensolves.  The paper's tightness and convergence
-// predictions (Prop. B.2, Thm. 2.4, the f2_* initial states) all consume
-// per-graph spectral quantities -- lambda_2 and f_2 of the lazy walk
-// matrix P, the Laplacian spectrum -- and a sweep revisits the same
-// graph in cell after cell.  A GraphSpectra record memoises each
-// eigensolve per graph; the SpectrumCache shares one record per
-// graph-cache key, so a whole sweep performs exactly one eigensolve per
-// distinct graph and spectrum kind.
+// Memoised per-graph spectral solves.  The paper's tightness and
+// convergence predictions (Thm. 2.2, Prop. B.1/B.2, Thm. 2.4) consume
+// lambda_2 of the lazy walk matrix P or of the Laplacian L, and the
+// f2_* initial states the matching eigenvectors; a sweep revisits the
+// same graph in cell after cell.  A GraphSpectra record memoises four
+// kinds per graph -- walk and Laplacian lambda_2 (sparse Lanczos) and
+// walk and Laplacian f_2 (dense Jacobi, only for the f2_* states) --
+// and the SpectrumCache shares one record per graph-cache key, so a
+// whole sweep performs exactly one solve per distinct graph and kind.
 //
 // Locking mirrors GraphCache: the cache's global mutex only guards the
-// key -> record map, never an eigensolve.  Each record runs its solves
-// under its own per-kind once-latch (std::call_once), so concurrent
-// cells needing the *same* spectrum solve once while cells needing
-// *different* graphs solve in parallel.
+// key -> record map, never a solve.  Each record runs its solves under
+// its own per-kind once-latch (std::call_once), so concurrent cells
+// needing the *same* kind solve once while cells needing *different*
+// graphs solve in parallel.
 #ifndef OPINDYN_SPECTRAL_SPECTRUM_CACHE_H
 #define OPINDYN_SPECTRAL_SPECTRUM_CACHE_H
 
@@ -21,45 +22,69 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "src/graph/graph.h"
 #include "src/spectral/spectra.h"
 #include "src/support/cache_limits.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 
 /// Lazily-computed spectral record of one immutable graph.  Each
-/// accessor runs its eigensolve on first use (on the *calling* thread,
-/// under a per-kind once-latch) and returns the memoised result
-/// afterwards; accessors are safe to call concurrently.  The referenced
+/// accessor runs its solve on first use (on the *calling* thread, under
+/// a per-kind once-latch) and returns the memoised result afterwards;
+/// accessors are safe to call concurrently.  A non-null `metrics`
+/// records one `eigensolve` span named after the kind, opened inside the
+/// latch, so a span appears exactly when a solve runs.  The referenced
 /// graph is kept alive by the record.
 class GraphSpectra {
  public:
   explicit GraphSpectra(std::shared_ptr<const Graph> graph);
 
-  /// Full lazy-walk spectrum (lambda_2(P), gap, f_2); solved once.
-  const WalkSpectrum& walk() const;
-  /// Full Laplacian spectrum (lambda_2(L), f_2); solved once.
-  const LaplacianSpectrum& laplacian() const;
+  /// lambda_2(P) and the gap 1 - lambda_2(P); solved once (kind "walk").
+  const WalkSpectrum& walk(MetricsRegistry* metrics = nullptr) const;
+  /// lambda_2(L); solved once (kind "laplacian").
+  const LaplacianSpectrum& laplacian(MetricsRegistry* metrics = nullptr) const;
+  /// f_2(P) as lazy_walk_f2 returns it; solved once (kind "walk_f2").
+  const std::vector<double>& walk_f2(MetricsRegistry* metrics = nullptr) const;
+  /// f_2(L) as laplacian_f2 returns it; solved once (kind
+  /// "laplacian_f2").
+  const std::vector<double>& laplacian_f2(
+      MetricsRegistry* metrics = nullptr) const;
 
   const Graph& graph() const noexcept { return *graph_; }
 
-  /// Eigensolves this record has actually run (0..2).
+  /// Solves this record has actually run (0..4, one per kind).
   std::int64_t solves() const noexcept;
   /// Accessor calls served from the memo without solving.
   std::int64_t hits() const noexcept;
 
-  /// Heap bytes of the memoised spectra solved so far (grows as lazy
+  /// Heap bytes of the memoised results solved so far (grows as lazy
   /// solves complete; excludes the shared graph, which GraphCache
   /// accounts).  Safe to read while other threads solve.
   std::uint64_t memory_bytes() const noexcept;
 
  private:
+  /// One memoised kind: its once-latch and its result.
+  template <typename T>
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<const T> value;
+  };
+
+  /// Runs `solve` under `slot`'s latch on first use (inside an
+  /// `eigensolve` span named `kind`), counting the solve and the
+  /// result's bytes; later calls count a hit.
+  template <typename T, typename Solve>
+  const T& memoise(Slot<T>& slot, MetricsRegistry* metrics, const char* kind,
+                   Solve solve) const;
+
   std::shared_ptr<const Graph> graph_;
-  mutable std::once_flag walk_once_;
-  mutable std::once_flag laplacian_once_;
-  mutable std::unique_ptr<const WalkSpectrum> walk_;
-  mutable std::unique_ptr<const LaplacianSpectrum> laplacian_;
+  mutable Slot<WalkSpectrum> walk_;
+  mutable Slot<LaplacianSpectrum> laplacian_;
+  mutable Slot<std::vector<double>> walk_f2_;
+  mutable Slot<std::vector<double>> laplacian_f2_;
   mutable std::atomic<std::int64_t> solves_{0};
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::uint64_t> bytes_{0};
@@ -90,9 +115,9 @@ class SpectrumCache {
   /// Cumulative over the cache's lifetime (evictions don't subtract).
   std::int64_t hits() const;
   std::int64_t misses() const;
-  /// Eigensolves actually run across all records ever cached (the
-  /// expensive work); a sweep sharing one graph and one spectrum kind
-  /// reports exactly 1.  Includes records since evicted.
+  /// Solves actually run across all records ever cached (the expensive
+  /// work); a sweep sharing one graph and one kind reports exactly 1.
+  /// Includes records since evicted.
   std::int64_t eigensolves() const;
   /// Spectrum accesses served from a memoised result (incl. evicted).
   std::int64_t spectrum_hits() const;

@@ -381,55 +381,59 @@ class Parser {
 }  // namespace
 
 bool Value::as_bool() const {
-  if (kind_ != Kind::boolean) fail_kind("boolean", kind_);
-  return bool_;
+  if (kind() != Kind::boolean) fail_kind("boolean", kind());
+  return std::get<bool>(value_);
 }
 
 double Value::as_double() const {
-  if (kind_ == Kind::integer) return static_cast<double>(int_);
-  if (kind_ != Kind::number) fail_kind("number", kind_);
-  return number_;
+  if (kind() == Kind::integer) {
+    return static_cast<double>(std::get<std::int64_t>(value_));
+  }
+  if (kind() != Kind::number) fail_kind("number", kind());
+  return std::get<double>(value_);
 }
 
 std::int64_t Value::as_int() const {
-  if (kind_ == Kind::integer) return int_;
-  if (kind_ == Kind::number && number_ == std::floor(number_) &&
-      std::isfinite(number_)) {
-    return static_cast<std::int64_t>(number_);
+  if (kind() == Kind::integer) return std::get<std::int64_t>(value_);
+  if (kind() == Kind::number) {
+    const double number = std::get<double>(value_);
+    if (number == std::floor(number) && std::isfinite(number)) {
+      return static_cast<std::int64_t>(number);
+    }
   }
-  fail_kind("integer", kind_);
+  fail_kind("integer", kind());
 }
 
 const std::string& Value::as_string() const {
-  if (kind_ != Kind::string) fail_kind("string", kind_);
-  return string_;
+  if (kind() != Kind::string) fail_kind("string", kind());
+  return std::get<Boxed<std::string>>(value_).get();
 }
 
 const Array& Value::as_array() const {
-  if (kind_ != Kind::array) fail_kind("array", kind_);
-  return array_;
+  if (kind() != Kind::array) fail_kind("array", kind());
+  return std::get<Boxed<Array>>(value_).get();
 }
 
 const Object& Value::as_object() const {
-  if (kind_ != Kind::object) fail_kind("object", kind_);
-  return object_;
+  if (kind() != Kind::object) fail_kind("object", kind());
+  return std::get<Boxed<Object>>(value_).get();
 }
 
 Array& Value::as_array() {
-  if (kind_ != Kind::array) fail_kind("array", kind_);
-  return array_;
+  if (kind() != Kind::array) fail_kind("array", kind());
+  return std::get<Boxed<Array>>(value_).get();
 }
 
 Object& Value::as_object() {
-  if (kind_ != Kind::object) fail_kind("object", kind_);
-  return object_;
+  if (kind() != Kind::object) fail_kind("object", kind());
+  return std::get<Boxed<Object>>(value_).get();
 }
 
 const Value* Value::find(const std::string& key) const {
-  if (kind_ != Kind::object) {
+  if (kind() != Kind::object) {
     return nullptr;
   }
-  for (const auto& [k, v] : object_) {
+  for (const auto& [k, v] : as_object()) {
     if (k == key) {
       return &v;
     }
@@ -438,25 +442,24 @@ const Value* Value::find(const std::string& key) const {
 }
 
 void Value::set(std::string key, Value value) {
-  if (kind_ == Kind::null) {
-    kind_ = Kind::object;
+  if (kind() == Kind::null) {
+    value_.emplace<Boxed<Object>>();
   }
-  if (kind_ != Kind::object) fail_kind("object", kind_);
-  for (auto& [k, v] : object_) {
+  Object& object = as_object();
+  for (auto& [k, v] : object) {
     if (k == key) {
       v = std::move(value);
       return;
     }
   }
-  object_.emplace_back(std::move(key), std::move(value));
+  object.emplace_back(std::move(key), std::move(value));
 }
 
 void Value::push_back(Value value) {
-  if (kind_ == Kind::null) {
-    kind_ = Kind::array;
+  if (kind() == Kind::null) {
+    value_.emplace<Boxed<Array>>();
   }
-  if (kind_ != Kind::array) fail_kind("array", kind_);
-  array_.push_back(std::move(value));
+  as_array().push_back(std::move(value));
 }
 
 std::string Value::dump(int indent) const {

@@ -11,12 +11,48 @@
 #define OPINDYN_SUPPORT_JSON_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace opindyn {
 namespace json {
+
+/// A heap-held T with value semantics (copies are deep), so a Value's
+/// variant stays one pointer wide for its string and container kinds.
+/// A moved-from box reads as an empty T.
+template <typename T>
+class Boxed {
+ public:
+  Boxed() = default;
+  explicit Boxed(T value) : ptr_(std::make_unique<T>(std::move(value))) {}
+  Boxed(const Boxed& other)
+      : ptr_(other.ptr_ != nullptr ? std::make_unique<T>(*other.ptr_)
+                                   : nullptr) {}
+  Boxed(Boxed&&) noexcept = default;
+  Boxed& operator=(const Boxed& other) {
+    Boxed copy(other);
+    ptr_ = std::move(copy.ptr_);
+    return *this;
+  }
+  Boxed& operator=(Boxed&&) noexcept = default;
+
+  const T& get() const {
+    static const T empty;
+    return ptr_ != nullptr ? *ptr_ : empty;
+  }
+  T& get() {
+    if (ptr_ == nullptr) {
+      ptr_ = std::make_unique<T>();
+    }
+    return *ptr_;
+  }
+
+ private:
+  std::unique_ptr<T> ptr_;
+};
 
 class Value;
 using Array = std::vector<Value>;
@@ -30,28 +66,32 @@ class Value {
  public:
   Value() = default;
   Value(std::nullptr_t) {}
-  Value(bool value) : kind_(Kind::boolean), bool_(value) {}
-  Value(double value) : kind_(Kind::number), number_(value) {}
-  Value(std::int64_t value) : kind_(Kind::integer), int_(value) {}
+  Value(bool value) : value_(std::in_place_type<bool>, value) {}
+  Value(double value) : value_(std::in_place_type<double>, value) {}
+  Value(std::int64_t value)
+      : value_(std::in_place_type<std::int64_t>, value) {}
   Value(int value) : Value(static_cast<std::int64_t>(value)) {}
   Value(std::uint64_t value)
       : Value(static_cast<std::int64_t>(value)) {}
   Value(std::string value)
-      : kind_(Kind::string), string_(std::move(value)) {}
-  Value(const char* value) : kind_(Kind::string), string_(value) {}
-  Value(Array value) : kind_(Kind::array), array_(std::move(value)) {}
-  Value(Object value) : kind_(Kind::object), object_(std::move(value)) {}
+      : value_(std::in_place_type<Boxed<std::string>>, std::move(value)) {}
+  Value(const char* value)
+      : value_(std::in_place_type<Boxed<std::string>>, value) {}
+  Value(Array value)
+      : value_(std::in_place_type<Boxed<Array>>, std::move(value)) {}
+  Value(Object value)
+      : value_(std::in_place_type<Boxed<Object>>, std::move(value)) {}
 
-  Kind kind() const noexcept { return kind_; }
-  bool is_null() const noexcept { return kind_ == Kind::null; }
-  bool is_bool() const noexcept { return kind_ == Kind::boolean; }
+  Kind kind() const noexcept { return static_cast<Kind>(value_.index()); }
+  bool is_null() const noexcept { return kind() == Kind::null; }
+  bool is_bool() const noexcept { return kind() == Kind::boolean; }
   /// True for both integer and floating content.
   bool is_number() const noexcept {
-    return kind_ == Kind::integer || kind_ == Kind::number;
+    return kind() == Kind::integer || kind() == Kind::number;
   }
-  bool is_string() const noexcept { return kind_ == Kind::string; }
-  bool is_array() const noexcept { return kind_ == Kind::array; }
-  bool is_object() const noexcept { return kind_ == Kind::object; }
+  bool is_string() const noexcept { return kind() == Kind::string; }
+  bool is_array() const noexcept { return kind() == Kind::array; }
+  bool is_object() const noexcept { return kind() == Kind::object; }
 
   /// Typed accessors; each throws std::runtime_error naming the actual
   /// kind on mismatch (perf_check turns these into one-line errors
@@ -79,13 +119,13 @@ class Value {
   std::string dump(int indent = -1) const;
 
  private:
-  Kind kind_ = Kind::null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::int64_t int_ = 0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  /// One alternative per Kind, in Kind order, so kind() is the active
+  /// index.  With the large kinds boxed a value is 16 bytes on 64-bit
+  /// targets, against 104 for one member per kind: sample arrays in run
+  /// reports and benchmark records hold tens of thousands of them.
+  std::variant<std::monostate, bool, std::int64_t, double,
+               Boxed<std::string>, Boxed<Array>, Boxed<Object>>
+      value_;
 };
 
 /// Deepest container nesting parse() accepts.

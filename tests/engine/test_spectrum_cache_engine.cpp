@@ -12,6 +12,7 @@
 
 #include "src/engine/runner.h"
 #include "src/graph/generators.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace engine {
@@ -45,26 +46,27 @@ TEST(SpectrumCacheEngine, SweepOverOneGraphSolvesExactlyOnce) {
   const BatchResult result = run_experiment(spec);
   EXPECT_EQ(result.work_items, 3);
   EXPECT_EQ(result.graphs_built, 1);
-  // Three per-cell Laplacian predictions, one Jacobi solve: the other
+  // Three per-cell Laplacian predictions, one lambda_2 solve: the other
   // two cells hit the memo.
   EXPECT_EQ(result.spectra_solved, 1);
   EXPECT_EQ(result.spectra_hits, 2);
 }
 
 TEST(SpectrumCacheEngine, F2InitialSharesTheScenarioEigensolve) {
-  // propB2_edge consumes the Laplacian spectrum twice per cell: once
-  // for the f2_laplacian initial state, once for the lower-scale
-  // prediction batch.  Both go through the shared record, so a two-cell
-  // sweep still solves once.
+  // propB2_edge consumes the Laplacian twice per cell: f_2(L) for the
+  // f2_laplacian initial state (a dense solve) and lambda_2(L) for the
+  // lower-scale prediction batch (a sparse solve).  Both go through the
+  // shared record, so a two-cell sweep solves each kind once.
   ExperimentSpec spec = small_spec("propB2_edge");
   spec.initial.distribution = "f2_laplacian";
   spec.initial.center = "none";
   spec.sweeps = parse_sweeps("alpha:0.4,0.6");
   const BatchResult result = run_experiment(spec);
   EXPECT_EQ(result.work_items, 2);
-  EXPECT_EQ(result.spectra_solved, 1);
-  // The prefetch pass solves; two initials + two predictions then hit.
-  EXPECT_EQ(result.spectra_hits, 4);
+  EXPECT_EQ(result.spectra_solved, 2);
+  // The prefetch pass solves f_2 and both initials hit it; the first
+  // prediction solves lambda_2 and the second hits it.
+  EXPECT_EQ(result.spectra_hits, 3);
 
   // Same sharing for the walk spectrum on the NodeModel side.
   ExperimentSpec node = small_spec("propB2_node");
@@ -72,8 +74,30 @@ TEST(SpectrumCacheEngine, F2InitialSharesTheScenarioEigensolve) {
   node.initial.center = "none";
   node.sweeps = parse_sweeps("alpha:0.4,0.6");
   const BatchResult node_result = run_experiment(node);
-  EXPECT_EQ(node_result.spectra_solved, 1);
-  EXPECT_EQ(node_result.spectra_hits, 4);
+  EXPECT_EQ(node_result.spectra_solved, 2);
+  EXPECT_EQ(node_result.spectra_hits, 3);
+}
+
+TEST(SpectrumCacheEngine, EigensolveSpansAppearAtTheSolveSite) {
+  // thm22_convergence solves lambda_2(P) inside its prediction units;
+  // the record opens one `eigensolve` span per solve, on the worker that
+  // runs it, so a sweep over three graphs x two k shows three.
+  ExperimentSpec spec = small_spec("thm22_convergence");
+  spec.graph.n = 16;
+  spec.threads = 2;
+  spec.sweeps = parse_sweeps("graph:cycle,complete,torus;k:1,2");
+  MetricsRegistry registry;
+  const BatchResult result = run_experiment(spec, {}, {}, &registry);
+  EXPECT_EQ(result.work_items, 6);
+  EXPECT_EQ(result.spectra_solved, 3);
+  std::int64_t walk_spans = 0;
+  for (const TraceSpan& span : registry.fold().spans) {
+    if (span.category == "eigensolve") {
+      EXPECT_EQ(span.name, "walk");
+      ++walk_spans;
+    }
+  }
+  EXPECT_EQ(walk_spans, 3);
 }
 
 TEST(SpectrumCacheEngine, DistinctGraphsSolveSeparately) {
@@ -124,7 +148,8 @@ TEST_P(SpectralScenarioDeterminism, CsvBytesIdenticalAtOneFourEightThreads) {
     std::vector<RowSink*> row_sinks{&rows_csv};
     const BatchResult result = run_experiment(spec, sinks, row_sinks);
     EXPECT_EQ(result.work_items, 2);
-    EXPECT_EQ(result.spectra_solved, 1);
+    // propB2_edge adds the dense f_2(L) solve of its initial state.
+    EXPECT_EQ(result.spectra_solved, spec.scenario == "propB2_edge" ? 2 : 1);
     aggregate[i] = read_file(base + ".csv");
     streamed[i] = read_file(base + "_rows.csv");
     std::remove((base + ".csv").c_str());

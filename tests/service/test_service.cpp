@@ -3,7 +3,12 @@
 // fault isolation, deadlines, the backpressure counters and the
 // serve-vs-one-shot byte-identity contract.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -198,6 +203,113 @@ TEST(ServeSession, FaultIsolationMalformedAndThrowingJobs) {
   const json::Value& summary = records.back();
   EXPECT_EQ(summary.find("errors")->as_int(), 4);
   EXPECT_EQ(summary.find("ok")->as_int(), 1);
+}
+
+TEST(ServeSession, OverLongLineGetsOneErrorAndTheNextJobRuns) {
+  // A 2 MiB line between two valid jobs: one `error` record citing the
+  // limit, its bytes discarded, and both neighbours served.
+  const std::string job = "scenario=node graph=cycle n=32 replicas=2\n";
+  const std::string input =
+      job + std::string(2 * service::kMaxLineBytes, 'x') + "\n" + job;
+  const auto records = serve_records(input, service::ServeOptions{});
+  ASSERT_EQ(records.size(), 5u);  // ready, three jobs, shutdown
+
+  const json::Value* too_long = find_job_record(records, 2);
+  ASSERT_NE(too_long, nullptr);
+  EXPECT_EQ(too_long->find("status")->as_string(), "error");
+  EXPECT_NE(too_long->find("error")->as_string().find(
+                std::to_string(service::kMaxLineBytes) + "-byte limit"),
+            std::string::npos);
+  for (const std::int64_t good : {1, 3}) {
+    const json::Value* record = find_job_record(records, good);
+    ASSERT_NE(record, nullptr) << "job " << good;
+    EXPECT_EQ(record->find("status")->as_string(), "ok");
+  }
+  const json::Value& summary = records.back();
+  EXPECT_EQ(summary.find("event")->as_string(), "shutdown");
+  EXPECT_EQ(summary.find("admitted")->as_int(), 2);
+  EXPECT_EQ(summary.find("ok")->as_int(), 2);
+  EXPECT_EQ(summary.find("errors")->as_int(), 1);
+}
+
+TEST(ServeSession, SocketSessionCapsLinesAcrossReads) {
+  // The poll()-driven descriptor source behind --socket and stdin: a
+  // line at exactly the limit is a job (here a malformed one), a line
+  // one byte over it is refused as too long, both arriving in many
+  // 4 KiB reads, and the valid jobs around them still run.
+  const std::string path = ::testing::TempDir() + "serve_line_cap.sock";
+  service::ServeOptions options;
+  options.socket_path = path;
+  service::JobStreamService server(std::move(options));
+  int rc = -1;
+  std::thread serving([&server, &rc] { rc = server.serve_socket(); });
+
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
+  bool connected = false;
+  for (int attempt = 0; attempt < 500 && !connected; ++attempt) {
+    connected = ::connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                          sizeof(address)) == 0;
+    if (!connected) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(connected);
+
+  const std::string job = "scenario=node graph=cycle n=32 replicas=2\n";
+  const std::string input =
+      job + std::string(service::kMaxLineBytes, 'y') + "\n" +
+      std::string(service::kMaxLineBytes + 1, 'x') + "\n" + job;
+  // Write from a second thread: the server answers while we send.
+  std::thread writer([fd, &input] {
+    std::size_t sent = 0;
+    while (sent < input.size()) {
+      const ssize_t n = ::send(fd, input.data() + sent, input.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) {
+        break;
+      }
+      sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(fd, SHUT_WR);
+  });
+  std::string output;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n <= 0) {
+      break;  // the server closes once this connection's jobs are done
+    }
+    output.append(chunk, static_cast<std::size_t>(n));
+  }
+  writer.join();
+  ::close(fd);
+  server.request_shutdown("test done");
+  serving.join();
+  EXPECT_EQ(rc, 0);
+
+  std::vector<json::Value> records;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line)) {
+    records.push_back(json::parse(line));
+  }
+  ASSERT_EQ(records.size(), 5u);  // ready + four job records
+  EXPECT_EQ(find_job_record(records, 1)->find("status")->as_string(), "ok");
+  const json::Value* at_limit = find_job_record(records, 2);
+  ASSERT_NE(at_limit, nullptr);
+  EXPECT_EQ(at_limit->find("status")->as_string(), "error");
+  EXPECT_EQ(at_limit->find("error")->as_string().find("-byte limit"),
+            std::string::npos);
+  const json::Value* over_limit = find_job_record(records, 3);
+  ASSERT_NE(over_limit, nullptr);
+  EXPECT_EQ(over_limit->find("status")->as_string(), "error");
+  EXPECT_NE(over_limit->find("error")->as_string().find("-byte limit"),
+            std::string::npos);
+  EXPECT_EQ(find_job_record(records, 4)->find("status")->as_string(), "ok");
 }
 
 TEST(ServeSession, MetricsJsonIsRejectedPerJob) {

@@ -1,15 +1,18 @@
-// SpectrumCache / GraphSpectra: one eigensolve per graph and spectrum
-// kind, lazily and under concurrency; shared records per cache key; the
-// memoised values match the direct solvers bit for bit.
+// SpectrumCache / GraphSpectra: one solve per graph and kind (walk and
+// Laplacian lambda_2, walk and Laplacian f_2), lazily and under
+// concurrency; shared records per cache key; the memoised values match
+// the direct solvers bit for bit; a span per solve that actually runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/graph/generators.h"
 #include "src/spectral/spectrum_cache.h"
+#include "src/support/metrics.h"
 
 namespace opindyn {
 namespace {
@@ -28,19 +31,43 @@ TEST(GraphSpectra, SolvesEachKindLazilyAndOnce) {
   EXPECT_EQ(&spectra.laplacian(), &laplacian);
   EXPECT_EQ(spectra.solves(), 2);
   EXPECT_EQ(spectra.hits(), 2);
+
+  // The eigenvectors are kinds of their own: lambda_2 never solves them.
+  const std::vector<double>& walk_f2 = spectra.walk_f2();
+  const std::vector<double>& laplacian_f2 = spectra.laplacian_f2();
+  EXPECT_EQ(spectra.solves(), 4);
+  EXPECT_EQ(&spectra.walk_f2(), &walk_f2);
+  EXPECT_EQ(&spectra.laplacian_f2(), &laplacian_f2);
+  EXPECT_EQ(spectra.solves(), 4);
+  EXPECT_EQ(spectra.hits(), 4);
 }
 
 TEST(GraphSpectra, ValuesMatchTheDirectSolvers) {
   const auto graph = std::make_shared<const Graph>(gen::petersen());
   GraphSpectra spectra(graph);
-  const WalkSpectrum direct_walk = lazy_walk_spectrum(*graph);
-  const LaplacianSpectrum direct_lap = laplacian_spectrum(*graph);
   // The record runs the identical deterministic solver, so the values
   // are bitwise equal -- the cache can never change golden outputs.
-  EXPECT_EQ(spectra.walk().lambda2, direct_walk.lambda2);
-  EXPECT_EQ(spectra.walk().f2, direct_walk.f2);
-  EXPECT_EQ(spectra.laplacian().lambda2, direct_lap.lambda2);
-  EXPECT_EQ(spectra.laplacian().f2, direct_lap.f2);
+  EXPECT_EQ(spectra.walk().lambda2, lazy_walk_spectrum(*graph).lambda2);
+  EXPECT_EQ(spectra.walk().gap, lazy_walk_spectrum(*graph).gap);
+  EXPECT_EQ(spectra.walk_f2(), lazy_walk_f2(*graph));
+  EXPECT_EQ(spectra.laplacian().lambda2, laplacian_spectrum(*graph).lambda2);
+  EXPECT_EQ(spectra.laplacian_f2(), laplacian_f2(*graph));
+}
+
+TEST(GraphSpectra, SolveSpansOpenOnlyWhenASolveRuns) {
+  GraphSpectra spectra(std::make_shared<const Graph>(gen::cycle(12)));
+  MetricsRegistry registry;
+  spectra.walk(&registry);
+  spectra.walk(&registry);  // memo hit: no span
+  spectra.laplacian_f2(&registry);
+  spectra.laplacian();  // no registry: solves without a span
+  std::vector<std::string> kinds;
+  for (const TraceSpan& span : registry.fold().spans) {
+    EXPECT_EQ(span.category, "eigensolve");
+    kinds.push_back(span.name);
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"walk", "laplacian_f2"}));
+  EXPECT_EQ(spectra.solves(), 3);
 }
 
 TEST(GraphSpectra, ConcurrentAccessorsSolveExactlyOnce) {
