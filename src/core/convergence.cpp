@@ -20,12 +20,13 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
   ConvergenceResult result;
   const std::int64_t start_time = process.time();
   // The stop decision is the process's own predicate.  The default
-  // (AveragingProcess::converged) always evaluates the centered two-pass
-  // potential: the incremental accumulators drift by ~1e-16 * magnitude^2
-  // per update, which would mask epsilons near machine precision.  The
-  // exact form is O(n), and with a check interval of ~n/4 steps that
-  // amortises to O(1) per step.  Discrete rules (voter) substitute their
-  // own O(1) predicate via the converged() override.
+  // (AveragingProcess::converged) screens with the O(1) running
+  // potential and a proven bound on its drift, and runs the centered
+  // two-pass potential only when the screen cannot rule convergence out
+  // -- in practice the last few checks of a run.  Discrete rules (voter)
+  // substitute their own O(1) predicate via the converged() override.
+  const std::int64_t exact_before = process.exact_checks();
+  std::int64_t checks = 1;
   bool done = process.converged(options.epsilon, options.use_plain_potential);
   while (!done && process.time() - start_time < options.max_steps) {
     // Cooperative cancellation at the burst boundary: one thread_local
@@ -37,6 +38,7 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
         interval, options.max_steps - (process.time() - start_time));
     process.step_burst(rng, burst);
     done = process.converged(options.epsilon, options.use_plain_potential);
+    ++checks;
   }
   result.steps = process.time() - start_time;
   result.converged = done;
@@ -47,6 +49,9 @@ ConvergenceResult run_until_converged(AveragingProcess& process, Rng& rng,
   // Observability: one counter bump per converged run (never per step);
   // a thread_local check + return when no metrics scope is active.
   metrics::count("engine.steps", result.steps);
+  metrics::count("engine.checks", checks);
+  metrics::count("engine.exact_checks",
+                 process.exact_checks() - exact_before);
   if (!result.converged) {
     metrics::count("engine.unconverged_runs", 1);
   }

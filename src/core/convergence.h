@@ -1,8 +1,14 @@
 // Runs a process until eps-convergence (phi(xi(t)) <= eps, the criterion
-// of Section 4).  The potential is read from the O(1) running accumulators
-// every `check_interval` steps; a candidate stop is confirmed with the
-// exact centered recomputation, so the reported hitting time is never an
-// artefact of floating-point drift.
+// of Section 4), checking the process's converged() predicate every
+// `check_interval` steps.  The default predicate screens each check with
+// the O(1) running potential and a proven forward-error bound on it (see
+// opinion_state.h), and runs the O(n) exact centered recomputation only
+// when the screen cannot rule convergence out: near eps, or once the
+// bound outgrows the margin (large value magnitudes, long stretches since
+// the accumulators were rebuilt).  The exact pass alone ever answers
+// "converged", so the reported hitting time is never an artefact of
+// floating-point drift.  Each run adds `engine.steps`, `engine.checks`
+// and `engine.exact_checks` to the active metrics scope.
 #ifndef OPINDYN_CORE_CONVERGENCE_H
 #define OPINDYN_CORE_CONVERGENCE_H
 

@@ -18,6 +18,63 @@
 // node to *hold* it (probability ~1/n per step), so tracking costs O(1)
 // amortized per update with zero allocations -- the step kernels stay
 // malloc-free.
+//
+// Convergence screen.  `phi_provably_above(eps)` lets a stop check skip
+// the O(n) exact pass when the running potential alone proves that
+// phi_exact() > eps.  It never answers "converged": when it cannot
+// decide, the caller runs the exact pass, so stop steps and every
+// reported value are those of an unscreened loop.  The proof, with
+// u = 2^-53, k = updates since the last recompute(), B a bound on every
+// |xi_u| held since then, and p = max_u pi_u:
+//
+//  * Forward error of the running estimate.  Let S1 = sum pi_u xi_u,
+//    S2 = sum pi_u xi_u^2 (exact arithmetic over the stored doubles),
+//    P = S2 - S1^2, and D = (1 + 4p)(n + k + 1) u.  The rebuild sums n
+//    terms (error <= 1.011 (n+1) u B^2 on S2, 1.01 n u B on S1); each
+//    update's bookkeeping adds at most (1.01 + 4.01 p) u B^2 to S2 and
+//    (1.01 + 4.01 p) u B to S1 (sum pi_u <= 1 + u).  So the errors are
+//    e2 <= 1.02 D B^2 and e1 <= 1.02 D B.  With m = |weighted_average()|,
+//    squaring S1 costs e1 (2m + e1) + u m^2, the final subtraction
+//    1.01 u |phi()|.  Since n < 2^31 and k <= 2^20, D < 2^-19 and
+//    u <= D/2, so the second-order terms fold into the constants:
+//        |phi() - P| <= D (1.03 B^2 + 3.07 B m) + 1.01 u |phi()|.
+//    The plain form is the same with every sum n times larger, 1 + 3/n
+//    in place of 1 + 4p, and m = |average()|:
+//        |phi_plain() - P_V| <= n D (1.03 B^2 + 3.07 B m)
+//                               + 1.01 u |phi_plain()|.
+//  * Centering.  phi_exact() sums Q(c) = sum pi_u (xi_u - c)^2 about
+//    c = weighted_average(); Q(c) >= P - u (m + e1)^2 because sum pi_u
+//    is 1 to within u (pi_u = d_u / 2m rounded), a term included above.
+//    phi_plain_exact() centers on the rounded mean, and
+//    sum (xi_u - c)^2 >= P_V exactly.  Every summand is nonnegative
+//    with relative error <= 4u, so the two-pass results are at least
+//    Q(c) (1 - (n+3) u): gamma = 2 (n+4) u covers that rounding.
+//  * B.  The state keeps B0^2 = the largest squared value it has held at
+//    construction, at each recompute(), and at each set_value() write.
+//    Every write that bypasses set_value comes from a burst kernel
+//    (node, edge, Hegselmann-Krause, weighted median), and each such
+//    write is a rounded convex combination of current values: a mean of
+//    K <= 8 samples mixed with the old value (node, edge; at most 12
+//    roundings), a mean of at most d_u + 1 values (HK; d_u + 1
+//    roundings), or a copied sample (median; none).  Each rounding
+//    inflates the magnitude by at most a factor (1 + u), and an update
+//    rounds fewer than 2^31 times, so over the <= 2^20 updates between
+//    rebuilds |xi_u| <= B0 (1+u)^(2^51) <= e^(1/4) B0 < 1.285 B0.  The
+//    synchronous rules (DeGroot, and Friedkin-Johnsen, whose anchors
+//    s_u = xi(0) are bounded by B0 from construction), gossip and the
+//    generic node/median loops for other K write through set_value, so
+//    B0 covers them exactly.
+//
+// With B < 1.285 B0 the bound is below D B0 (1.70 B0 + 3.95 m).  The
+// screen takes E = 3 D B0 (B0 + 2m) + 2u |phi()| (times n, with the
+// plain D, for phi_V); the ~1.5x to spare absorbs the rounding of the
+// screen's own arithmetic.  It returns true iff  phi() - E > eps (1 +
+// gamma).  It stops deciding -- E outgrows the margin and every check
+// runs the exact pass -- when B0^2 is large next to eps (wide-ranging
+// or far-from-zero values), late in a long stretch since the last
+// recompute(), or at large n.  NaN or infinite values, and B0^2 <
+// 2^-960 (where underflow would void the relative error model), always
+// defer.
 #ifndef OPINDYN_CORE_OPINION_STATE_H
 #define OPINDYN_CORE_OPINION_STATE_H
 
@@ -88,6 +145,9 @@ class OpinionState {
         extrema_valid_ = false;
       }
     }
+    if (x * x > bound_sq_) {
+      bound_sq_ = x * x;  // explicit writes may leave the convex hull
+    }
     values_[idx] = x;
     if (++updates_since_recompute_ >= recompute_interval_) {
       recompute();
@@ -98,15 +158,22 @@ class OpinionState {
   double average() const noexcept;
   /// Degree-weighted average M(t) = <1, xi>_pi -- the NodeModel martingale.
   double weighted_average() const noexcept { return wsum_; }
-  /// Potential phi (Eq. 3), from running sums (fast, may lose precision
-  /// near zero).
+  /// Potential phi (Eq. 3), from running sums: O(1), but off from the
+  /// true value by up to ~u B^2 (n + k) (see the header comment), which
+  /// near convergence can exceed phi itself.
   double phi() const noexcept;
   /// Potential phi in centered two-pass form: exact at any magnitude.
   double phi_exact() const;
-  /// phi_V of Prop. D.1 (unweighted analogue), from running sums.
+  /// phi_V of Prop. D.1 (unweighted analogue), from running sums; off
+  /// by up to n times the bound of phi().
   double phi_plain() const noexcept;
   /// phi_V in centered two-pass form.
   double phi_plain_exact() const;
+  /// True only if the running potential proves that phi_exact() (or
+  /// phi_plain_exact() when `plain`) exceeds `epsilon`: phi() minus its
+  /// drift bound E must clear epsilon (1 + gamma).  False means "cannot
+  /// tell", never "converged".  O(1).
+  bool phi_provably_above(double epsilon, bool plain) const noexcept;
   /// sum_u xi_u(t)^2.
   double l2_squared() const noexcept { return sum_sq_; }
   /// Discrepancy K(t) = max - min.  O(1) amortized when extremum
@@ -117,7 +184,8 @@ class OpinionState {
 
   bool tracks_extrema() const noexcept { return track_extrema_; }
 
-  /// Rebuilds all accumulators from the value vector.
+  /// Rebuilds all accumulators from the value vector and raises B0^2 to
+  /// the largest squared value now held.
   void recompute();
 
   // --- Burst cursor -------------------------------------------------
@@ -247,6 +315,8 @@ class OpinionState {
   double sum_sq_ = 0.0;    // sum xi^2
   double wsum_ = 0.0;      // sum pi_u xi_u  (= M(t))
   double wsum_sq_ = 0.0;   // sum pi_u xi_u^2
+  double bound_sq_ = 0.0;  // B0^2 of the convergence screen
+  double pi_max_ = 0.0;    // max_u pi_u, for the screen's drift bound
 
   std::int64_t updates_since_recompute_ = 0;
   static constexpr std::int64_t recompute_interval_ = 1 << 20;

@@ -29,6 +29,10 @@ void AveragingProcess::apply(const NodeSelection& selection) {
 
 bool AveragingProcess::converged(double epsilon,
                                  bool use_plain_potential) const {
+  if (state_.phi_provably_above(epsilon, use_plain_potential)) {
+    return false;
+  }
+  ++exact_checks_;
   const double phi =
       use_plain_potential ? state_.phi_plain_exact() : state_.phi_exact();
   return phi <= epsilon;

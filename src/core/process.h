@@ -43,11 +43,20 @@ class AveragingProcess {
 
   /// Whether the process has reached its stopping condition at the
   /// current state.  The default is the paper's potential criterion
-  /// phi(xi(t)) <= eps, evaluated with the exact centered recomputation
-  /// (pi-weighted, or plain phi_V when `use_plain_potential` is set).
+  /// phi(xi(t)) <= eps (pi-weighted, or plain phi_V when
+  /// `use_plain_potential` is set).  It first screens with the O(1)
+  /// running potential: OpinionState::phi_provably_above returns "not
+  /// yet" when phi() minus its proven drift bound still clears eps.
+  /// Otherwise -- near eps, or when the bound has grown past the margin
+  /// (large B0^2, long stretches since recompute(), large n) -- it runs
+  /// the exact centered two-pass potential, which alone ever answers
+  /// "converged"; the answer is thus always the exact pass's.
   /// Discrete-opinion rules override this with their own predicate
   /// (the voter model stops at distinct-opinion count 1).
   virtual bool converged(double epsilon, bool use_plain_potential) const;
+
+  /// How many O(n) exact potential passes converged() has run.
+  std::int64_t exact_checks() const noexcept { return exact_checks_; }
 
   /// Number of steps taken so far (t).
   std::int64_t time() const noexcept { return time_; }
@@ -77,6 +86,7 @@ class AveragingProcess {
   OpinionState state_;
   double alpha_;
   std::int64_t time_ = 0;
+  mutable std::int64_t exact_checks_ = 0;
 };
 
 }  // namespace opindyn

@@ -62,6 +62,8 @@ TEST(RunReport, DeterministicSectionsAreIdenticalAcrossThreadCounts) {
     cells[i] = report.find("cells")->dump();
     results[i] = report.find("result")->dump();
   }
+  // The per-run check counters are among the thread-invariant ones.
+  EXPECT_NE(counters[0].find("\"engine.exact_checks\""), std::string::npos);
   EXPECT_EQ(counters[0], counters[1]);
   EXPECT_EQ(counters[0], counters[2]);
   EXPECT_EQ(cells[0], cells[1]);
@@ -167,6 +169,12 @@ TEST(RunReport, ManifestCarriesAllSectionsAndLiveCounters) {
   EXPECT_GT(counters->find("engine.steps")->as_int(), 0);
   EXPECT_EQ(counters->find("engine.cells")->as_int(), 2);
   EXPECT_GT(counters->find("scheduler.units_run")->as_int(), 0);
+  // One bump per converged run: every check, and the exact passes the
+  // convergence screen could not skip.
+  const std::int64_t checks = counters->find("engine.checks")->as_int();
+  const std::int64_t exact = counters->find("engine.exact_checks")->as_int();
+  EXPECT_GT(exact, 0);
+  EXPECT_LE(exact, checks);
 
   // Satellite (b): both halves of the graph-cache hit rate.  One
   // distinct graph, requested once by the prefetch and once per cell.
