@@ -289,6 +289,15 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string command =
       args.positional().empty() ? "help" : args.positional().front();
+  // Every input after the subcommand is a --key=value flag; a bare word
+  // (`gaussian` meant as `--init=gaussian`) would otherwise be dropped
+  // and the run would go ahead with the default.
+  if (args.positional().size() > 1) {
+    std::cerr << "unexpected argument '" << args.positional()[1]
+              << "' after '" << command
+              << "' (flags take the form --key=value; try: opindyn help)\n";
+    return 2;
+  }
   try {
     // --version wins over the bare-invocation help default.
     if (command == "version" || args.has("version")) {

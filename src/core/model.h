@@ -1,8 +1,8 @@
 // The one configuration record for every dynamics rule in the repo and
 // the factory that instantiates any of them behind the common
 // AveragingProcess interface.  Every harness -- the scenario engine, the
-// bench shims, the tests -- describes "which model with which knobs"
-// through this struct; replica scheduling itself lives in
+// examples, the perf runner, the tests -- describes "which model with
+// which knobs" through this struct; replica scheduling itself lives in
 // support/cell_scheduler.h (the historical core/montecarlo harness that
 // used to bundle both is retired).
 //

@@ -244,9 +244,9 @@ class KAblationScenario final : public Scenario {
 OPINDYN_REGISTER_SCENARIO(KAblationScenario)
 
 /// NodeModel convergence against both the exact B.1 prediction and the
-/// Theorem 2.2(1) scale n log(n ||xi||^2 / eps) / (1 - lambda2(P)) --
-/// the engine port of bench_thm22_convergence; sweep graph / n / alpha /
-/// k to reproduce its three tables.
+/// Theorem 2.2(1) scale n log(n ||xi||^2 / eps) / (1 - lambda2(P));
+/// examples/specs/paper/thm22_convergence_*.spec sweep graph / n /
+/// alpha / k.
 class Thm22ConvergenceScenario final : public Scenario {
  public:
   std::string name() const override { return "thm22_convergence"; }
@@ -280,7 +280,7 @@ OPINDYN_REGISTER_SCENARIO(Thm22ConvergenceScenario)
 
 /// The w.h.p. tail of Theorems 2.2(1)/2.4(1): per-replica T_eps rows
 /// (the first streaming consumer) plus quantiles normalised by the
-/// median for both models -- the engine port of bench_whp_tail.
+/// median for both models (examples/specs/paper/whp_tail.spec).
 class WhpTailScenario final : public Scenario {
  public:
   std::string name() const override { return "whp_tail"; }
@@ -300,7 +300,7 @@ class WhpTailScenario final : public Scenario {
       const ModelKind kind = i == 0 ? ModelKind::node : ModelKind::edge;
       const ModelConfig config = config_for_kind(in.spec.model, kind);
       // The EdgeModel tail analysis (Prop. D.1) is stated for the plain
-      // potential, as in the original bench.
+      // potential.
       ConvergenceOptions convergence = in.spec.convergence;
       convergence.use_plain_potential =
           kind == ModelKind::edge || convergence.use_plain_potential;
@@ -686,7 +686,7 @@ class GossipVsUnilateralScenario final : public Scenario {
     const ModelConfig gossip_config =
         config_for_kind(spec.model, ModelKind::gossip);
     // Gossip preserves Avg exactly, so its stopping rule is stated for
-    // the plain potential (as the original hand-rolled bench did).
+    // the plain potential.
     ConvergenceOptions gossip_convergence = spec.convergence;
     gossip_convergence.use_plain_potential = true;
     auto gossip = in.scheduler.submit(

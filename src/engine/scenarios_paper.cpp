@@ -1,7 +1,7 @@
-// The paper-theorem scenarios: engine ports of the formerly bespoke
-// bench binaries (Fig. 1/4 duality, Lemma 4.1 martingale, Lemma 5.7
-// q-chain, the Thm 2.2(2)/2.4 variance suites, Prop. 5.8, and the
-// Appendix-B bounds).  Each scenario follows the two-phase contract of
+// The paper-theorem scenarios (Fig. 1/4 duality, Lemma 4.1 martingale,
+// Lemma 5.7 q-chain, the Thm 2.2(2)/2.4 variance suites, Prop. 5.8, and
+// the Appendix-B bounds); examples/specs/paper/ has a spec per table.
+// Each scenario follows the two-phase contract of
 // scenario.h: start() submits its replica batches -- including the
 // deterministic enumeration / eigensolve work, wrapped in one-replica
 // batches so it runs on the pool -- and the returned fold formats rows

@@ -1,4 +1,4 @@
-// Tiny command-line parsing for the example/bench binaries:
+// Tiny command-line parsing for the opindyn CLI and the examples:
 // `--name=value` or `--flag` options plus positional arguments.
 #ifndef OPINDYN_SUPPORT_CLI_H
 #define OPINDYN_SUPPORT_CLI_H

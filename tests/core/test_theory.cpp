@@ -5,10 +5,13 @@
 #include <cmath>
 
 #include "src/core/initial_values.h"
+#include "src/core/model.h"
+#include "src/core/opinion_state.h"
 #include "src/graph/generators.h"
 #include "src/graph/isoperimetric.h"
 #include "src/spectral/spectra.h"
 #include "src/support/assert.h"
+#include "tests/replica_harness.h"
 
 namespace opindyn {
 namespace {
@@ -152,6 +155,50 @@ TEST(Theory, TimeDependentVarianceBounds) {
   EXPECT_DOUBLE_EQ(theory::edge_var_avg_time_bound(100, 2.0, 10), 4.0);
   EXPECT_DOUBLE_EQ(theory::node_var_m_time_bound(100, 2.0, 3, 15), 4.0);
   EXPECT_DOUBLE_EQ(theory::edge_var_avg_time_bound(0, 5.0, 10), 0.0);
+}
+
+TEST(Theory, EarlyTimeVarianceEnvelopesHoldByMonteCarlo) {
+  // Corollary E.2(ii)/(iii) on lollipop(16): Var(M(t)) <= t (d_max K/2m)^2
+  // for the NodeModel and Var(Avg(t)) <= t K^2/n^2 for the EdgeModel.
+  // Measured ratios sit below 0.05 of the bounds, so 1000 replicas'
+  // sampling error (~5% of the variance) cannot reach them.
+  const Graph g = gen::lollipop(8, 8);
+  Rng init_rng(3);
+  std::vector<double> xi =
+      initial::uniform(init_rng, g.node_count(), -1.0, 1.0);
+  initial::center_degree_weighted(g, xi);
+  std::vector<double> xi_edge = xi;
+  initial::center_plain(xi_edge);
+  const std::vector<std::int64_t> checkpoints{16, 64, 256};
+
+  ModelConfig node_config;
+  node_config.alpha = 0.5;
+  node_config.k = 1;
+  const double k_node = OpinionState(g, xi).discrepancy();
+  const std::vector<RunningStats> var_m = test_support::sample_at_checkpoints(
+      g, node_config, xi, checkpoints, 1000, 7,
+      [](const AveragingProcess& p) { return p.state().weighted_average(); });
+
+  ModelConfig edge_config;
+  edge_config.kind = ModelKind::edge;
+  edge_config.alpha = 0.5;
+  const double k_edge = OpinionState(g, xi_edge).discrepancy();
+  const std::vector<RunningStats> var_avg =
+      test_support::sample_at_checkpoints(
+          g, edge_config, xi_edge, checkpoints, 1000, 9,
+          [](const AveragingProcess& p) { return p.state().average(); });
+
+  for (std::size_t c = 0; c < checkpoints.size(); ++c) {
+    const std::int64_t t = checkpoints[c];
+    const double node_bound = theory::node_var_m_time_bound(
+        t, k_node, g.max_degree(), g.edge_count());
+    EXPECT_GT(var_m[c].population_variance(), 0.0) << "t=" << t;
+    EXPECT_LE(var_m[c].population_variance(), node_bound) << "t=" << t;
+    const double edge_bound =
+        theory::edge_var_avg_time_bound(t, k_edge, g.node_count());
+    EXPECT_GT(var_avg[c].population_variance(), 0.0) << "t=" << t;
+    EXPECT_LE(var_avg[c].population_variance(), edge_bound) << "t=" << t;
+  }
 }
 
 TEST(Theory, VarianceExactRejectsIrregular) {

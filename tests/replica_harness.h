@@ -1,5 +1,6 @@
-// Shared test helper: run R eps-converged replicas of a configured
-// model on the engine's CellScheduler and fold F / T_eps / divergence.
+// Shared test helpers: run R replicas of a configured model on the
+// engine's CellScheduler and fold F / T_eps / divergence, or samples
+// taken at fixed step counts.
 // Replica r draws from Rng::fork(seed, r) -- the same stream assignment
 // the retired core/montecarlo harness used, so tests ported onto this
 // helper keep their statistical expectations unchanged.
@@ -46,6 +47,29 @@ inline ReplicaSummary run_replicas(const Graph& g,
       });
   return {stats[0], stats[1],
           static_cast<std::int64_t>(std::llround(stats[2].sum()))};
+}
+
+/// Runs R replicas of a configured model for a fixed number of steps and
+/// folds `observe(process)` at each (ascending) step count in
+/// `checkpoints`: entry c of the result holds the samples taken at
+/// checkpoints[c].  Replica r draws from Rng::fork(seed, r).
+template <typename Observe>
+std::vector<RunningStats> sample_at_checkpoints(
+    const Graph& g, const ModelConfig& config, const std::vector<double>& xi,
+    const std::vector<std::int64_t>& checkpoints, std::int64_t replicas,
+    std::uint64_t seed, Observe observe) {
+  CellScheduler scheduler;
+  return scheduler.run(
+      replicas, seed, checkpoints.size(),
+      [&](std::int64_t, Rng& rng, std::span<double> out) {
+        auto process = make_process(g, config, xi);
+        for (std::size_t c = 0; c < checkpoints.size(); ++c) {
+          while (process->time() < checkpoints[c]) {
+            process->step(rng);
+          }
+          out[c] = observe(*process);
+        }
+      });
 }
 
 }  // namespace test_support
