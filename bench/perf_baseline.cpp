@@ -19,9 +19,9 @@
 // family is gated.  The model name is part of the perf_check workload
 // identity.
 //
-// The build object records compiler, flags and the burst-kernel ISA
-// (portable vs avx2), so a BENCH document is self-describing about
-// which kernels produced it.
+// The build object records compiler, flags and build type, so a BENCH
+// document is self-describing about which build produced it, and
+// perf_check refuses to compare documents from different builds.
 #include <chrono>
 #include <cmath>
 #include <cstdint>

@@ -13,23 +13,33 @@
 // rows.
 // Every workload is printed with its ratio.
 //
+// The two documents must come from the same build: their "build"
+// blocks must agree on build_type, flags and simd (the build identity
+// perfbench/compare.py uses too).  A document without a build block,
+// or a mismatch, is refused -- a speed ratio across two builds says
+// nothing about either.
+//
 // Exit codes distinguish the failure modes so a CI gate's red X is
 // diagnosable from the status alone:
 //   0  every workload within tolerance
 //   1  regression detected (too slow, or a workload went missing)
-//   2  usage error (bad flags)
-//   3  input error: a baseline/current file is missing, unreadable or
-//      unparseable -- a broken *gate*, not a slow *build*
+//   2  usage error (bad flags, or a --max-drop outside [0, 1))
+//   3  input error: a baseline/current file is missing, unreadable,
+//      unparseable or malformed, or the two come from different builds
+//      -- a broken *gate*, not a slow *build*
 //
 //   perf_check --self-test
 //
 // runs the comparator against embedded synthetic documents (pass,
-// regression, missing-workload, unreadable-input) so CTest exercises
+// regression, missing-workload, unreadable-input, malformed row,
+// missing or mismatched build block) so CTest exercises
 // the gate logic -- including the exit-code classification -- without
 // timing anything.
 #include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,13 +70,25 @@ struct WorkloadKey {
   }
 };
 
+/// Keys of the "build" block that make two documents comparable.
+constexpr const char* kBuildIdentity[] = {"build_type", "flags", "simd"};
+
+const Value& required(const Value& row, const char* field) {
+  const Value* value = row.find(field);
+  if (value == nullptr) {
+    throw std::runtime_error(std::string("a workload row has no \"") +
+                             field + "\"");
+  }
+  return *value;
+}
+
 WorkloadKey key_of(const Value& row) {
   WorkloadKey key;
-  key.model = row.find("model")->as_string();
+  key.model = required(row, "model").as_string();
   if (const Value* graph = row.find("graph")) {
     key.graph = graph->as_string();
   }
-  key.n = row.find("n")->as_int();
+  key.n = required(row, "n").as_int();
   if (const Value* k = row.find("k")) {
     key.k = k->as_int();
   }
@@ -83,6 +105,47 @@ const Value& workloads_of(const Value& doc, const std::string& which) {
                              " document has no \"workloads\" array");
   }
   return *workloads;
+}
+
+/// Throws, naming the problem, unless `doc` carries everything the gate
+/// reads: a build block with the identity keys, and workload rows whose
+/// key fields and `metric` have the right types.  Run on load, so
+/// compare() meets no malformed value.
+void check_document(const Value& doc, const std::string& which,
+                    const std::string& metric) {
+  const Value* build = doc.find("build");
+  if (build == nullptr || !build->is_object()) {
+    throw std::runtime_error(which + " document has no \"build\" block, "
+                             "so its build cannot be identified");
+  }
+  for (const char* key : kBuildIdentity) {
+    const Value* value = build->find(key);
+    if (value == nullptr || !value->is_string()) {
+      throw std::runtime_error(which + " build block has no \"" + key +
+                               "\" string");
+    }
+  }
+  for (const Value& row : workloads_of(doc, which).as_array()) {
+    key_of(row);
+    if (const Value* value = row.find(metric)) {
+      value->as_double();
+    }
+  }
+}
+
+/// Empty when both documents (each passed check_document) come from the
+/// same build; otherwise names the first build-identity key on which
+/// they differ.
+std::string build_mismatch(const Value& baseline, const Value& current) {
+  for (const char* key : kBuildIdentity) {
+    const std::string& base = baseline.find("build")->find(key)->as_string();
+    const std::string& cur = current.find("build")->find(key)->as_string();
+    if (base != cur) {
+      return std::string("build \"") + key + "\" differs: baseline \"" +
+             base + "\" vs current \"" + cur + "\"";
+    }
+  }
+  return "";
 }
 
 /// Compares the two parsed documents; prints one line per baseline
@@ -140,12 +203,13 @@ int run_gate(const std::string& baseline_path,
              double max_drop, std::ostream& out, std::ostream& err) {
   Value baseline;
   Value current;
-  // Input problems (missing file, bad JSON, wrong schema) are exit 3:
-  // the gate itself is broken and no statement about performance was
-  // made.  Naming the offending file keeps the red X diagnosable.
+  // Input problems (missing file, bad JSON, wrong schema, different
+  // builds) are exit 3: the gate itself is broken and no statement
+  // about performance was made.  Naming the offending file or build
+  // key keeps the red X diagnosable.
   try {
     baseline = opindyn::json::parse_file(baseline_path);
-    workloads_of(baseline, "baseline");
+    check_document(baseline, "baseline", metric);
   } catch (const std::exception& error) {
     err << "perf_check: baseline unusable (" << baseline_path
         << "): " << error.what() << "\n";
@@ -153,10 +217,16 @@ int run_gate(const std::string& baseline_path,
   }
   try {
     current = opindyn::json::parse_file(current_path);
-    workloads_of(current, "current");
+    check_document(current, "current", metric);
   } catch (const std::exception& error) {
     err << "perf_check: current run unusable (" << current_path
         << "): " << error.what() << "\n";
+    return 3;
+  }
+  if (const std::string why = build_mismatch(baseline, current);
+      !why.empty()) {
+    err << "perf_check: refusing to compare different builds: " << why
+        << "\n";
     return 3;
   }
   const int failures = compare(baseline, current, metric, max_drop, out);
@@ -171,7 +241,9 @@ int run_gate(const std::string& baseline_path,
 }
 
 int self_test() {
-  const char* kBaseline = R"({"workloads": [
+  const char* kBaseline = R"({
+  "build": {"build_type": "Release", "flags": "-O3", "simd": "scalar"},
+  "workloads": [
     {"model": "node", "n": 1024, "k": 1, "track_extrema": false,
      "burst_sps": 100.0},
     {"model": "node", "n": 1024, "k": 4, "track_extrema": false,
@@ -184,7 +256,9 @@ int self_test() {
   // k=1 within tolerance (-10%), k=4 regressed (-40%), extrema missing,
   // torus row present only under a different graph family (so the
   // graph field is part of the identity and the row counts missing).
-  const char* kCurrent = R"({"workloads": [
+  const char* kCurrent = R"({
+  "build": {"build_type": "Release", "flags": "-O3", "simd": "scalar"},
+  "workloads": [
     {"model": "node", "n": 1024, "k": 1, "track_extrema": false,
      "burst_sps": 90.0},
     {"model": "node", "n": 1024, "k": 4, "track_extrema": false,
@@ -218,6 +292,35 @@ int self_test() {
          "a missing baseline must exit 3, not 1");
   expect(err.str().find("baseline unusable") != std::string::npos,
          "the input error must name the unusable side");
+  // Documents the gate cannot read or cannot compare are refused on
+  // load, naming what is wrong: a missing build block, a row without
+  // its identity fields, and a second build.
+  const auto rejection = [](const char* text) -> std::string {
+    try {
+      check_document(opindyn::json::parse(text), "baseline", "burst_sps");
+    } catch (const std::exception& error) {
+      return error.what();
+    }
+    return "";
+  };
+  expect(rejection(kBaseline).empty() && rejection(kCurrent).empty(),
+         "well-formed documents must load");
+  expect(rejection(R"({"workloads": []})").find("\"build\"") !=
+             std::string::npos,
+         "a document without a build block must be refused");
+  expect(rejection(R"({"build": {"build_type": "Release", "flags": "",
+                                 "simd": "scalar"},
+                       "workloads": [{"n": 4, "burst_sps": 1.0}]})")
+                 .find("\"model\"") != std::string::npos,
+         "a row without a model must be refused");
+  const Value other_build = opindyn::json::parse(R"({
+    "build": {"build_type": "Release", "flags": "-O3", "simd": "avx2"},
+    "workloads": []})");
+  expect(build_mismatch(baseline, current).empty(),
+         "documents from one build must be comparable");
+  expect(build_mismatch(baseline, other_build).find("\"simd\"") !=
+             std::string::npos,
+         "a simd mismatch must be refused, naming the key");
   if (rc == 0) {
     std::cout << "perf_check self-test passed\n";
   }
@@ -240,11 +343,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--metric" && i + 1 < argc) {
       metric = argv[++i];
     } else if (arg == "--max-drop" && i + 1 < argc) {
-      try {
-        max_drop = std::stod(argv[++i]);
-      } catch (const std::exception&) {
-        std::cerr << "perf_check: --max-drop needs a number, got '"
-                  << argv[i] << "'\n";
+      // The whole string must parse, and a drop of 1 or more (or NaN)
+      // would let every regression through.
+      const char* text = argv[++i];
+      char* end = nullptr;
+      max_drop = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(max_drop >= 0.0) ||
+          !(max_drop < 1.0)) {
+        std::cerr << "perf_check: --max-drop needs a fraction in [0, 1), "
+                     "got '"
+                  << text << "'\n";
         return 2;
       }
     } else if (arg == "--self-test") {

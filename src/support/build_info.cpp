@@ -17,9 +17,6 @@
 #ifndef OPINDYN_BUILD_TYPE
 #define OPINDYN_BUILD_TYPE "unknown"
 #endif
-#ifndef OPINDYN_BUILD_SIMD
-#define OPINDYN_BUILD_SIMD "scalar"
-#endif
 
 namespace opindyn {
 
@@ -31,7 +28,9 @@ const BuildInfo& build_info() {
     b.flags = OPINDYN_BUILD_FLAGS;
     b.build_type = OPINDYN_BUILD_TYPE;
     b.cxx_standard = std::to_string(__cplusplus);  // e.g. "202002"
-    b.simd = OPINDYN_BUILD_SIMD;
+    // One kernel build exists; the key stays because saved BENCH and
+    // perfbench records carry it as part of their build identity.
+    b.simd = "scalar";
 #ifdef OPINDYN_CHECKED_HOT_PATH
     b.checked_hot_path = true;
 #else
